@@ -632,13 +632,8 @@ fn is_point(
         seed,
         threads(),
     )?;
-    // If nothing hit at any twist, fall back to the strongest one.
-    let twist = if points.iter().all(|p| p.estimate.hits == 0) {
-        // svbr-lint: allow(no-expect) the twist grid is a non-empty compile-time list
-        *twists.last().expect("non-empty")
-    } else {
-        points[best].twist
-    };
+    // With no hit at any twist, `best` is already the strongest one.
+    let twist = points[best].twist;
     let est = sys
         .estimator(utilization, buffer_norm, twist)?
         .run_parallel(n_reps, seed.wrapping_add(1), threads());

@@ -3,6 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use svbr_domain::SvbrError;
 use svbr_lrd::acf::Acf;
 use svbr_lrd::gauss::Normal;
@@ -163,15 +164,40 @@ impl IsEstimate {
     }
 }
 
+/// Check the queueing configuration every estimator needs: a horizon of at
+/// least one slot, a finite positive service rate, and a finite buffer.
+pub(crate) fn check_system(horizon: usize, service: f64, buffer: f64) -> Result<(), SvbrError> {
+    if horizon == 0 {
+        return Err(SvbrError::OutOfRange {
+            name: "horizon",
+            constraint: ">= 1",
+        });
+    }
+    if !service.is_finite() {
+        return Err(SvbrError::NotFinite { name: "service" });
+    }
+    if service <= 0.0 {
+        return Err(SvbrError::OutOfRange {
+            name: "service",
+            constraint: "> 0",
+        });
+    }
+    if !buffer.is_finite() {
+        return Err(SvbrError::NotFinite { name: "buffer" });
+    }
+    Ok(())
+}
+
 /// The IS estimator for a fixed system configuration.
 ///
 /// Construction runs the Durbin–Levinson recursion once
 /// ([`PreparedHosking`]); each replication then costs O(slots²) in dot
 /// products only — and early termination (step 5 of the paper's procedure)
-/// usually keeps `slots ≪ horizon` at a good twist.
+/// usually keeps `slots ≪ horizon` at a good twist. The prepared schedule
+/// sits behind an [`Arc`], so clones and [`Self::with_twist`] share it.
 #[derive(Debug, Clone)]
 pub struct IsEstimator<M> {
-    prepared: PreparedHosking,
+    prepared: Arc<PreparedHosking>,
     transform: GaussianTransform<M>,
     service: f64,
     buffer: f64,
@@ -192,29 +218,12 @@ impl<M: Marginal> IsEstimator<M> {
         twist: f64,
         event: IsEvent,
     ) -> Result<Self, SvbrError> {
-        if horizon == 0 {
-            return Err(SvbrError::OutOfRange {
-                name: "horizon",
-                constraint: ">= 1",
-            });
-        }
-        if !service.is_finite() {
-            return Err(SvbrError::NotFinite { name: "service" });
-        }
-        if service <= 0.0 {
-            return Err(SvbrError::OutOfRange {
-                name: "service",
-                constraint: "> 0",
-            });
-        }
+        check_system(horizon, service, buffer)?;
         if !twist.is_finite() {
             return Err(SvbrError::NotFinite { name: "twist" });
         }
-        if !buffer.is_finite() {
-            return Err(SvbrError::NotFinite { name: "buffer" });
-        }
         Ok(Self {
-            prepared: PreparedHosking::new(acf, horizon).map_err(SvbrError::from)?,
+            prepared: Arc::new(PreparedHosking::new(acf, horizon).map_err(SvbrError::from)?),
             transform,
             service,
             buffer,
@@ -224,9 +233,10 @@ impl<M: Marginal> IsEstimator<M> {
     }
 
     /// Reuse an already-prepared recursion (e.g. across twists in a valley
-    /// search — the preparation is the expensive part).
+    /// search — the preparation is the expensive part). Performs no
+    /// validation; [`Self::new`] does.
     pub fn from_prepared(
-        prepared: PreparedHosking,
+        prepared: Arc<PreparedHosking>,
         transform: GaussianTransform<M>,
         service: f64,
         buffer: f64,
@@ -253,77 +263,127 @@ impl<M: Marginal> IsEstimator<M> {
         self.twist
     }
 
-    /// Clone with a different twist (sharing nothing mutable; the prepared
-    /// recursion is cloned — use [`Self::from_prepared`] to share).
+    /// Clone with a different twist. The prepared recursion is shared, not
+    /// copied.
     pub fn with_twist(&self, twist: f64) -> Self
     where
         M: Clone,
     {
         Self {
-            prepared: self.prepared.clone(),
-            transform: self.transform.clone(),
-            service: self.service,
-            buffer: self.buffer,
             twist,
-            event: self.event,
+            ..self.clone()
         }
     }
 
     /// Run one replication (steps 2–7 of the paper's procedure).
+    ///
+    /// Allocates its path buffer per call; the `run*` methods reuse one
+    /// buffer across replications instead.
     pub fn replicate<R: Rng + ?Sized>(&self, rng: &mut R) -> IsReplication {
+        self.replicate_one(rng, &mut PathScratch::default())
+    }
+
+    /// [`Self::replicate`] on caller-owned buffers.
+    fn replicate_one<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut PathScratch,
+    ) -> IsReplication {
+        self.replicate_twists(std::slice::from_ref(&self.twist), rng, scratch);
+        scratch.outcomes[0]
+    }
+
+    /// One replication scoring every twist in `twists` on one shared
+    /// background path (this estimator's own twist is not used). Leaves the
+    /// outcomes, in twist order, in `scratch.outcomes`.
+    ///
+    /// The twisted conditional mean is `m_i(x) + m*·(1 − Σφ)` (eqs. 35–36),
+    /// and `m_i` is linear in the history, so the path twisted by `m*` is
+    /// exactly `x = y + m*` with `y` the *untwisted* path driven by the same
+    /// innovations `ε`. Each slot therefore costs one Durbin–Levinson dot
+    /// product and one normal draw however many twists are scored; per
+    /// twist it adds only the likelihood-ratio increment, `h(y + m*)` and
+    /// the workload update. The path stops once every twist has terminated.
+    fn replicate_twists<R: Rng + ?Sized>(
+        &self,
+        twists: &[f64],
+        rng: &mut R,
+        scratch: &mut PathScratch,
+    ) {
         let horizon = self.prepared.len();
-        let mut normal = Normal::new();
-        let mut hist: Vec<f64> = Vec::with_capacity(horizon);
-        let mut log_lr = 0.0f64;
-        let mut w = 0.0f64; // running workload (FirstPassage)
-        let mut q = match self.event {
+        let start = match self.event {
             IsEvent::LevelAtHorizon { initial } => initial,
             IsEvent::FirstPassage => 0.0,
         };
+        let PathScratch {
+            path,
+            lanes,
+            outcomes,
+        } = scratch;
+        path.clear();
+        path.reserve(horizon);
+        lanes.clear();
+        lanes.resize(
+            twists.len(),
+            Lane {
+                log_lr: 0.0,
+                level: start,
+                stopped_at: None,
+            },
+        );
+        let mut live = twists.len();
+        let mut normal = Normal::new();
         for i in 0..horizon {
-            let m = self.prepared.moments(i, &hist);
-            // Twisted conditional mean: m_i + m*·(1 − Σφ) (eqs. 35–36).
-            let shift = self.twist * (1.0 - m.phi_sum);
-            let eps = normal.sample(rng) * m.var.sqrt();
-            let x = m.mean + shift + eps;
-            hist.push(x);
-            // ln L_i = −shift·(2ε + shift)/(2v)  (see crate docs).
-            // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
-            if shift != 0.0 {
-                log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
-                debug_assert!(
-                    log_lr.is_finite(),
-                    "likelihood-ratio accumulator left the finite range at slot {i}"
-                );
+            if live == 0 {
+                break;
             }
-            let y = self.transform.apply(x);
-            match self.event {
-                IsEvent::FirstPassage => {
-                    w += y - self.service;
-                    if w > self.buffer {
-                        return IsReplication {
-                            hit: true,
-                            weight: log_lr.exp(),
-                            log_lr,
-                            slots_used: i + 1,
-                        };
+            let m = self.prepared.moments(i, path);
+            let eps = normal.sample(rng) * m.var.sqrt();
+            let y = m.mean + eps;
+            path.push(y);
+            for (lane, &twist) in lanes.iter_mut().zip(twists) {
+                if lane.stopped_at.is_some() {
+                    continue;
+                }
+                // ln L_i = −shift·(2ε + shift)/(2v), shift = m*·(1 − Σφ)
+                // (see crate docs).
+                let shift = twist * (1.0 - m.phi_sum);
+                // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
+                if shift != 0.0 {
+                    lane.log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
+                    debug_assert!(
+                        lane.log_lr.is_finite(),
+                        "likelihood-ratio accumulator left the finite range at slot {i}"
+                    );
+                }
+                let arrivals = self.transform.apply(y + twist);
+                match self.event {
+                    IsEvent::FirstPassage => {
+                        lane.level += arrivals - self.service;
+                        if lane.level > self.buffer {
+                            lane.stopped_at = Some(i + 1);
+                            live -= 1;
+                        }
+                    }
+                    IsEvent::LevelAtHorizon { .. } => {
+                        lane.level = (lane.level + arrivals - self.service).max(0.0);
                     }
                 }
-                IsEvent::LevelAtHorizon { .. } => {
-                    q = (q + y - self.service).max(0.0);
-                }
             }
         }
-        let hit = match self.event {
-            IsEvent::FirstPassage => false,
-            IsEvent::LevelAtHorizon { .. } => q > self.buffer,
-        };
-        IsReplication {
-            hit,
-            weight: if hit { log_lr.exp() } else { 0.0 },
-            log_lr,
-            slots_used: horizon,
-        }
+        outcomes.clear();
+        outcomes.extend(lanes.iter().map(|lane| {
+            let hit = match self.event {
+                IsEvent::FirstPassage => lane.stopped_at.is_some(),
+                IsEvent::LevelAtHorizon { .. } => lane.level > self.buffer,
+            };
+            IsReplication {
+                hit,
+                weight: if hit { lane.log_lr.exp() } else { 0.0 },
+                log_lr: lane.log_lr,
+                slots_used: lane.stopped_at.unwrap_or(horizon),
+            }
+        }));
     }
 
     /// Run `n` replications sequentially.
@@ -337,6 +397,7 @@ impl<M: Marginal> IsEstimator<M> {
     /// consumes randomness, so traced and untraced runs are bit-identical.
     pub fn run<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> IsEstimate {
         let mut acc = Accumulator::default();
+        let mut scratch = PathScratch::default();
         let mut telemetry = svbr_obsv::enabled().then(|| {
             (
                 svbr_obsv::Watermark::above("is.ess", ESS_TARGET),
@@ -344,7 +405,7 @@ impl<M: Marginal> IsEstimator<M> {
             )
         });
         for i in 0..n {
-            acc.add(&self.replicate(rng));
+            acc.add(&self.replicate_one(rng, &mut scratch));
             let Some((ess_wm, ci_wm)) = telemetry.as_mut() else {
                 continue;
             };
@@ -370,7 +431,7 @@ impl<M: Marginal> IsEstimator<M> {
             ci_wm.observe(done as u64, rel_ci);
         }
         let est = acc.finish();
-        self.observe_run(&acc, &est, "sequential");
+        self.observe_run(self.twist, &acc, &est, "sequential");
         est
     }
 
@@ -378,7 +439,7 @@ impl<M: Marginal> IsEstimator<M> {
     /// mean/variance (in log space), Kish effective sample size, and the
     /// twist used — the quantities that tell whether the change of measure
     /// is healthy (cf. `crate::diagnostics`).
-    fn observe_run(&self, acc: &Accumulator, est: &IsEstimate, mode: &str) {
+    fn observe_run(&self, twist: f64, acc: &Accumulator, est: &IsEstimate, mode: &str) {
         svbr_obsv::counter("is.replications").add(acc.n as u64);
         if svbr_obsv::enabled() {
             // Same total, split by execution mode (sequential vs parallel).
@@ -397,7 +458,7 @@ impl<M: Marginal> IsEstimator<M> {
         svbr_obsv::point(
             "is.run",
             &[
-                ("twist", self.twist),
+                ("twist", twist),
                 ("buffer", self.buffer),
                 ("horizon", self.prepared.len() as f64),
                 ("n", nf),
@@ -539,23 +600,88 @@ impl<M: Marginal> IsEstimator<M> {
     where
         M: Sync,
     {
-        let reps = svbr_par::par_map_blocks(n, threads, |range| {
-            range
-                .map(|i| {
-                    let seed = svbr_par::derive_seed(master_seed, first_rep + i as u64);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    self.replicate(&mut rng)
-                })
-                .collect()
-        });
-        let mut total = Accumulator::default();
-        for r in &reps {
-            total.add(r);
-        }
-        let est = total.finish();
-        self.observe_run(&total, &est, "parallel");
-        est
+        self.run_twists_from(&[self.twist], n, master_seed, first_rep, threads)[0]
     }
+
+    /// Run replications `first_rep .. first_rep + n` of the master schedule
+    /// `master_seed`, scoring every twist in `twists` on each replication's
+    /// one shared background path (this estimator's own twist is not used).
+    /// Returns one estimate per twist, in twist order.
+    ///
+    /// Every twist sees the same innovations — common random numbers — and
+    /// estimate `j` is bit-identical to
+    /// `self.with_twist(twists[j]).run_parallel_from(n, master_seed,
+    /// first_rep, threads)`: each twist's outcomes are folded in
+    /// replication order, and its per-slot arithmetic does not depend on
+    /// which other twists share the path. Each worker block reuses one
+    /// [`PathScratch`] across its replications.
+    pub(crate) fn run_twists_from(
+        &self,
+        twists: &[f64],
+        n: usize,
+        master_seed: u64,
+        first_rep: u64,
+        threads: usize,
+    ) -> Vec<IsEstimate>
+    where
+        M: Sync,
+    {
+        // Replication-major: the outcomes of replication i occupy
+        // `twists.len()` consecutive entries.
+        let outcomes = svbr_par::par_map_blocks(n, threads, |range| {
+            let mut scratch = PathScratch::default();
+            let mut block = Vec::with_capacity(range.len() * twists.len());
+            for i in range {
+                let seed = svbr_par::derive_seed(master_seed, first_rep + i as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                self.replicate_twists(twists, &mut rng, &mut scratch);
+                block.extend_from_slice(&scratch.outcomes);
+            }
+            block
+        });
+        let mut totals = vec![Accumulator::default(); twists.len()];
+        for rep in outcomes.chunks_exact(twists.len()) {
+            for (total, r) in totals.iter_mut().zip(rep) {
+                total.add(r);
+            }
+        }
+        totals
+            .iter()
+            .zip(twists)
+            .map(|(total, &twist)| {
+                let est = total.finish();
+                self.observe_run(twist, total, &est, "parallel");
+                est
+            })
+            .collect()
+    }
+}
+
+/// Reusable per-replication buffers for the shared-path kernel
+/// ([`IsEstimator::replicate_twists`]); one per worker block, so
+/// replications allocate nothing once the buffers reach their high-water
+/// mark.
+#[derive(Debug, Default)]
+struct PathScratch {
+    /// The untwisted background path `y` so far.
+    path: Vec<f64>,
+    /// Running state per twist, in twist order.
+    lanes: Vec<Lane>,
+    /// Outcome per twist of the last replication, in twist order.
+    outcomes: Vec<IsReplication>,
+}
+
+/// One twist's running state on the shared background path.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Accumulated log-likelihood ratio.
+    log_lr: f64,
+    /// Running workload `W_i` (first passage) or queue level `Q_i` (level
+    /// at horizon).
+    level: f64,
+    /// Slots simulated when the workload crossed the buffer; `None` while
+    /// the twist is live.
+    stopped_at: Option<usize>,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -786,6 +912,14 @@ mod tests {
         let tol = 3.0 * (par.std_err() + seq.std_err());
         assert!((par.p - seq.p).abs() < tol, "par {} seq {}", par.p, seq.p);
         assert_eq!(par.n, 20_000);
+    }
+
+    #[test]
+    fn with_twist_shares_the_prepared_schedule() {
+        let est = white_noise_system(20, 0.6, 2.0, 0.5, IsEvent::FirstPassage);
+        let twisted = est.with_twist(1.5);
+        assert!(Arc::ptr_eq(&est.prepared, &twisted.prepared));
+        assert_eq!(twisted.twist(), 1.5);
     }
 
     #[test]

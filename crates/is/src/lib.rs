@@ -19,7 +19,9 @@
 //!   normalized variance and variance-reduction factors.
 //! * [`search`] — the heuristic "valley" search over the twist `m*`
 //!   (Fig. 14): the IS estimator is unbiased for *any* twist, so one scans
-//!   for the twist minimizing the normalized variance.
+//!   for the twist minimizing the normalized variance. The path twisted by
+//!   `m*` is the untwisted path plus `m*`, so every candidate is scored on
+//!   one shared background path per replication.
 //!
 //! The likelihood-ratio derivation in code form: at step `i` the twisted
 //! conditional law is `N(m_i + m*·s_i, v_i)` where `m_i` is the untwisted

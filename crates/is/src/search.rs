@@ -6,8 +6,9 @@
 //! variance exhibits a clear 'valley' around the most favorable parameter
 //! values." (§4)
 
-use crate::estimator::{IsEstimate, IsEstimator, IsEvent};
+use crate::estimator::{check_system, IsEstimate, IsEstimator, IsEvent};
 use crate::IsError;
+use std::sync::Arc;
 use svbr_lrd::acf::Acf;
 use svbr_lrd::hosking::PreparedHosking;
 use svbr_marginal::transform::GaussianTransform;
@@ -33,10 +34,24 @@ impl TwistPoint {
 /// Evaluate the normalized variance at each candidate twist and return the
 /// full valley plus the index of its minimum.
 ///
-/// The Durbin–Levinson preparation is done once and shared across twists;
-/// each twist runs `n_reps` replications over `threads` threads.
+/// The Durbin–Levinson preparation is done once. Replication `i` draws one
+/// untwisted background path `y` from `svbr_par::derive_seed(base_seed, i)`
+/// and scores every twist on it, since the path twisted by `m*` is exactly
+/// `y + m*`: the twists see common random numbers, which sharpens the
+/// comparison of the valley's shape, and each slot's O(k) dot product is
+/// paid once instead of once per twist. Point `j` is bit-identical to
+/// `IsEstimator::from_prepared(.., twists[j], ..).run_parallel(n_reps,
+/// base_seed, threads)`.
+///
+/// The returned index is the twist with the smallest normalized variance;
+/// when no twist has a finite one (no replication hit at any twist), it is
+/// the largest twist — the one most likely to reach the event.
+///
+/// Errors with [`IsError::InvalidParameter`] on an empty or non-finite
+/// twist list or `n_reps == 0`, and with [`IsError::Domain`] on an invalid
+/// horizon, service rate or buffer.
 #[allow(clippy::too_many_arguments)]
-pub fn valley_search<A: Acf, M: Marginal + Clone + Sync>(
+pub fn valley_search<A: Acf, M: Marginal + Sync>(
     acf: A,
     horizon: usize,
     transform: GaussianTransform<M>,
@@ -54,20 +69,24 @@ pub fn valley_search<A: Acf, M: Marginal + Clone + Sync>(
             constraint: "at least one candidate",
         });
     }
-    let prepared = PreparedHosking::new(acf, horizon)?;
+    if !twists.iter().all(|t| t.is_finite()) {
+        return Err(IsError::InvalidParameter {
+            name: "twists",
+            constraint: "every candidate finite",
+        });
+    }
+    if n_reps == 0 {
+        return Err(IsError::InvalidParameter {
+            name: "n_reps",
+            constraint: ">= 1",
+        });
+    }
+    check_system(horizon, service, buffer)?;
+    let prepared = Arc::new(PreparedHosking::new(acf, horizon)?);
+    let est = IsEstimator::from_prepared(prepared, transform, service, buffer, twists[0], event);
+    let estimates = est.run_twists_from(twists, n_reps, base_seed, 0, threads);
     let mut points = Vec::with_capacity(twists.len());
-    for (i, &twist) in twists.iter().enumerate() {
-        let est = IsEstimator::from_prepared(
-            prepared.clone(),
-            transform.clone(),
-            service,
-            buffer,
-            twist,
-            event,
-        );
-        // Same seed across twists: common random numbers sharpen the
-        // valley's shape comparison.
-        let estimate = est.run_parallel(n_reps, base_seed.wrapping_add(i as u64), threads);
+    for (&twist, estimate) in twists.iter().zip(estimates) {
         if svbr_obsv::enabled() {
             svbr_obsv::point(
                 "is.valley",
@@ -82,17 +101,28 @@ pub fn valley_search<A: Acf, M: Marginal + Clone + Sync>(
         }
         points.push(TwistPoint { twist, estimate });
     }
-    let best = points
+    let best = best_point(&points);
+    Ok((points, best))
+}
+
+/// Index of the smallest finite normalized variance, else of the largest
+/// twist (0 for an empty slice).
+fn best_point(points: &[TwistPoint]) -> usize {
+    let valley_floor = points
         .iter()
         .enumerate()
+        .filter(|(_, p)| p.normalized_variance().is_finite())
         .min_by(|a, b| {
             a.1.normalized_variance()
                 .total_cmp(&b.1.normalized_variance())
-        })
-        .map(|(i, _)| i)
-        // svbr-lint: allow(no-expect) `points` has one entry per twist and twists was checked non-empty
-        .expect("non-empty");
-    Ok((points, best))
+        });
+    let strongest = || {
+        points
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.twist.total_cmp(&b.1.twist))
+    };
+    valley_floor.or_else(strongest).map_or(0, |(i, _)| i)
 }
 
 /// A large-deviations starting point for the twist search.
@@ -314,6 +344,155 @@ mod tests {
             1,
         );
         assert!(r.is_err());
+        Ok(())
+    }
+
+    fn bits(e: &IsEstimate) -> [u64; 5] {
+        [
+            e.p.to_bits(),
+            e.n as u64,
+            e.variance.to_bits(),
+            e.hits as u64,
+            e.mean_slots.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn valley_points_match_single_twist_runs_bit_for_bit() -> Result<(), Box<dyn std::error::Error>>
+    {
+        // The shared path must not change any twist's result: point j is
+        // the run a lone estimator at twist j makes from the same seed.
+        let acf = FgnAcf::new(0.8)?;
+        let transform = GaussianTransform::new(NormalDist::standard());
+        let (horizon, service, buffer, n_reps, seed, threads) = (40, 0.8, 4.0, 300, 19, 3);
+        let twists = [0.0, 0.5, 1.25, 2.0, 3.5];
+        let prepared = Arc::new(PreparedHosking::new(acf, horizon)?);
+        for event in [
+            IsEvent::FirstPassage,
+            IsEvent::LevelAtHorizon { initial: 2.0 },
+        ] {
+            let (points, _) = valley_search(
+                acf,
+                horizon,
+                transform.clone(),
+                service,
+                buffer,
+                event,
+                &twists,
+                n_reps,
+                seed,
+                threads,
+            )?;
+            assert!(
+                points.iter().any(|p| p.estimate.hits > 0),
+                "{event:?}: no twist hit"
+            );
+            for p in &points {
+                let single = IsEstimator::from_prepared(
+                    prepared.clone(),
+                    transform.clone(),
+                    service,
+                    buffer,
+                    p.twist,
+                    event,
+                )
+                .run_parallel(n_reps, seed, threads);
+                assert_eq!(
+                    bits(&p.estimate),
+                    bits(&single),
+                    "{event:?} at twist {}",
+                    p.twist
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn valley_search_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let run = |threads: usize| {
+            valley_search(
+                FgnAcf::new(0.8)?,
+                50,
+                GaussianTransform::new(NormalDist::standard()),
+                0.8,
+                5.0,
+                IsEvent::FirstPassage,
+                &[0.0, 0.5, 1.0, 2.0, 3.0],
+                400,
+                23,
+                threads,
+            )
+        };
+        let (baseline, best) = run(1)?;
+        assert!(baseline.iter().any(|p| p.estimate.hits > 0));
+        for threads in [2usize, 8] {
+            let (points, b) = run(threads)?;
+            assert_eq!(b, best, "threads={threads}");
+            for (p, q) in points.iter().zip(&baseline) {
+                assert_eq!(
+                    bits(&p.estimate),
+                    bits(&q.estimate),
+                    "threads={threads} twist={}",
+                    p.twist
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rejects_non_finite_twists_and_zero_reps() -> Result<(), Box<dyn std::error::Error>> {
+        let run = |twists: &[f64], n_reps: usize| {
+            valley_search(
+                FgnAcf::new(0.5)?,
+                10,
+                GaussianTransform::new(NormalDist::standard()),
+                1.0,
+                1.0,
+                IsEvent::FirstPassage,
+                twists,
+                n_reps,
+                0,
+                1,
+            )
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    run(&[1.0, bad], 10),
+                    Err(IsError::InvalidParameter { name: "twists", .. })
+                ),
+                "twist {bad} accepted"
+            );
+        }
+        assert!(matches!(
+            run(&[1.0], 0),
+            Err(IsError::InvalidParameter { name: "n_reps", .. })
+        ));
+        assert!(run(&[1.0], 10).is_ok());
+        Ok(())
+    }
+
+    #[test]
+    fn no_hit_anywhere_picks_the_largest_twist() -> Result<(), Box<dyn std::error::Error>> {
+        // An unreachable buffer: every normalized variance is ∞, so the
+        // choice falls to the strongest twist, wherever it sits in the list.
+        let (points, best) = valley_search(
+            FgnAcf::new(0.5)?,
+            10,
+            GaussianTransform::new(NormalDist::standard()),
+            1.0,
+            1e6,
+            IsEvent::FirstPassage,
+            &[0.5, 3.0, 1.0],
+            50,
+            3,
+            2,
+        )?;
+        assert!(points.iter().all(|p| p.estimate.hits == 0));
+        assert_eq!(best, 1);
         Ok(())
     }
 }
