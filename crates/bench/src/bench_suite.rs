@@ -758,7 +758,7 @@ mod tests {
             .unwrap_or(1);
         for quick in [true, false] {
             let specs = suite(quick);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for s in &specs {
                 assert!(
                     s.threads <= cores,

@@ -249,7 +249,8 @@ fn start_exposer(addr: &str) {
     if let Ok(local) = listener.local_addr() {
         eprintln!("[repro] exposing metrics on http://{local}/metrics");
     }
-    // svbr-lint: allow(no-raw-thread) detached read-only I/O listener; all simulation parallelism stays in svbr-par
+    // A detached read-only I/O listener; all simulation parallelism stays
+    // in svbr-par.
     std::thread::spawn(move || {
         use std::io::{Read as _, Write as _};
         for conn in listener.incoming() {

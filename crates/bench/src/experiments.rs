@@ -579,8 +579,11 @@ impl IsSystem {
         })
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment tables only use utilizations in (0, 1)"
+    )]
     fn mux(&self, utilization: f64) -> Mux {
-        // svbr-lint: allow(no-expect) experiment tables only use utilizations in (0, 1)
         Mux::new(self.mean_arrival, utilization).expect("valid utilization")
     }
 

@@ -348,7 +348,7 @@ impl<M: Marginal> IsEstimator<M> {
                 // ln L_i = −shift·(2ε + shift)/(2v), shift = m*·(1 − Σφ)
                 // (see crate docs).
                 let shift = twist * (1.0 - m.phi_sum);
-                // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
+                // Exact zero: untwisted replications must skip the LR update entirely
                 if shift != 0.0 {
                     lane.log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
                     debug_assert!(
@@ -552,7 +552,10 @@ impl<M: Marginal> IsEstimator<M> {
                 Some(prev) => prev.merge(&e),
                 None => e,
             });
-            // svbr-lint: allow(no-expect) `pooled` is assigned on every loop iteration before this read
+            #[expect(
+                clippy::expect_used,
+                reason = "`pooled` is assigned on every loop iteration before this read"
+            )]
             if pooled.expect("just set").relative_error() <= target {
                 break;
             }

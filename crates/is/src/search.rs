@@ -191,7 +191,7 @@ pub fn suggest_twist<M: Marginal>(
         let Some(m) = twist_for_drift(needed) else {
             continue;
         };
-        // svbr-lint: allow(float-eq) exact zero sentinel returned by the heuristic, not a computed value
+        // Exact zero sentinel returned by the heuristic, not a computed value
         if m == 0.0 {
             return Ok(0.0); // the event is not rare; no twist required
         }

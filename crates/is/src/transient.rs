@@ -102,7 +102,10 @@ where
             constraint: "service > 0, initial >= 0, finite twist",
         });
     }
-    // svbr-lint: allow(no-expect) stop_times emptiness is rejected by the guard above
+    #[expect(
+        clippy::expect_used,
+        reason = "stop_times emptiness is rejected by the guard above"
+    )]
     let horizon = *config.stop_times.last().expect("non-empty");
     let prepared: Arc<PreparedHosking> = match hosking_coefficients(&acf, horizon)? {
         CachedHosking::Shared(p) => p,
@@ -126,7 +129,7 @@ where
             let eps = normal.sample(&mut rng) * mo.var.sqrt();
             let x = mo.mean + shift + eps;
             hist.push(x);
-            // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
+            // Exact zero: untwisted replications must skip the LR update entirely
             if shift != 0.0 {
                 log_lr -= shift * (2.0 * eps + shift) / (2.0 * mo.var);
             }

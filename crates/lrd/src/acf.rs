@@ -164,7 +164,10 @@ impl Acf for FarimaAcf {
         let mut cache = self.cache.borrow_mut();
         while cache.len() <= k {
             let j = cache.len() as f64;
-            // svbr-lint: allow(no-expect) cache is seeded with r(0)=1 before any push
+            #[expect(
+                clippy::expect_used,
+                reason = "cache is seeded with r(0)=1 before any push"
+            )]
             let prev = *cache.last().expect("cache starts non-empty");
             cache.push(prev * (j - 1.0 + self.d) / (j - self.d));
         }
@@ -364,8 +367,11 @@ impl CompositeAcf {
 
     /// The paper's fitted model for the *Last Action Hero* trace (eq. 13):
     /// `exp(−0.00565k)` below lag 60, `1.59·k^{−0.2}` at and above it.
+    #[expect(
+        clippy::expect_used,
+        reason = "constants from Table 2 satisfy the constructor's range checks"
+    )]
     pub fn paper_fit() -> Self {
-        // svbr-lint: allow(no-expect) constants from Table 2 satisfy the constructor's range checks
         Self::single(0.005_650_93, 1.594_68, 0.2, 60).expect("paper parameters are valid")
     }
 
@@ -548,7 +554,7 @@ impl<A: Acf> Acf for LagScaledAcf<A> {
         let x = k as f64 / self.scale;
         let lo = x.floor() as usize;
         let frac = x - lo as f64;
-        // svbr-lint: allow(float-eq) exact integer lag: interpolation weight is identically zero
+        // Exact integer lag: interpolation weight is identically zero
         if frac == 0.0 {
             self.base.r(lo)
         } else {

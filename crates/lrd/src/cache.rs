@@ -90,9 +90,9 @@ pub enum CachedHosking {
     Streaming,
 }
 
-// Ordered maps keep every walk over the cache deterministic (the analyze
-// pass's `det-unordered-collection` rule holds these crates to that), and
-// the key tuples are already `Ord`.
+// Ordered maps keep every walk over the cache deterministic (clippy.toml
+// disallows `HashMap`/`HashSet` workspace-wide), and the key tuples are
+// already `Ord`.
 type HoskingCache = Cache<(u64, usize), Arc<PreparedHosking>>;
 type DhCache = Cache<(u64, usize, u64), Arc<DaviesHarte>>;
 type PlanCache = Cache<usize, Arc<FftPlan>>;

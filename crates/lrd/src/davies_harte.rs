@@ -112,11 +112,14 @@ impl DaviesHarte {
         // Always forgive rounding noise; beyond that, honor rel_tol.
         let budget = pos_mass * rel_tol.max(1e-12);
         if neg_mass > budget {
+            #[expect(
+                clippy::expect_used,
+                reason = "the eigenvalue row has 2n-2 >= 2 entries by construction"
+            )]
             let (j, z) = row
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.re.total_cmp(&b.1.re))
-                // svbr-lint: allow(no-expect) the eigenvalue row has 2n-2 >= 2 entries by construction
                 .expect("row is non-empty");
             return Err(LrdError::NegativeCirculantEigenvalue {
                 index: j,

@@ -48,8 +48,11 @@ impl Farima0d0 {
     }
 
     /// The exact autocorrelation function.
+    #[expect(
+        clippy::expect_used,
+        reason = "`d` was range-checked when this sampler was built"
+    )]
     pub fn acf(&self) -> FarimaAcf {
-        // svbr-lint: allow(no-expect) `d` was range-checked when this sampler was built
         FarimaAcf::new(self.d).expect("validated at construction")
     }
 

@@ -927,6 +927,10 @@ mod tests {
     fn push_without_moments_panics() -> Result<(), Box<dyn std::error::Error>> {
         let acf = FgnAcf::new(0.7)?;
         let mut s = HoskingSampler::new(acf)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts that pushing before preparing moments panics"
+        )]
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.push(0.0)));
         assert!(result.is_err());
         Ok(())

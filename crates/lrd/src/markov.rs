@@ -145,7 +145,7 @@ impl Ibp {
 /// recursively using the fact that Poisson(λ) = Poisson(λ/2) + Poisson(λ/2).
 pub fn poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
     debug_assert!(lambda >= 0.0);
-    // svbr-lint: allow(float-eq) exact zero rate: Poisson(0) is deterministically 0
+    // Exact zero rate: Poisson(0) is deterministically 0
     if lambda == 0.0 {
         return 0;
     }

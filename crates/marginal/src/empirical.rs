@@ -207,7 +207,10 @@ impl Marginal for BinnedEmpirical {
         if x <= self.edges[0] {
             return 0.0;
         }
-        // svbr-lint: allow(no-expect) constructor rejects histograms with no bins
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor rejects histograms with no bins"
+        )]
         if x >= *self.edges.last().expect("non-empty") {
             return 1.0;
         }
@@ -223,7 +226,10 @@ impl Marginal for BinnedEmpirical {
             return self.edges[0];
         }
         if p >= 1.0 {
-            // svbr-lint: allow(no-expect) constructor rejects histograms with no bins
+            #[expect(
+                clippy::expect_used,
+                reason = "constructor rejects histograms with no bins"
+            )]
             return *self.edges.last().expect("non-empty");
         }
         // First edge index with cum >= p; invert linearly within that bin.
@@ -330,7 +336,10 @@ impl Marginal for TabulatedEmpirical {
             return self.base.edges[0];
         }
         if p >= 1.0 {
-            // svbr-lint: allow(no-expect) constructor rejects histograms with no bins
+            #[expect(
+                clippy::expect_used,
+                reason = "constructor rejects histograms with no bins"
+            )]
             return *self.base.edges.last().expect("non-empty");
         }
         let cell = ((p * self.cells as f64) as usize).min(self.cells - 1);

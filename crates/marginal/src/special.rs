@@ -159,7 +159,7 @@ pub fn inv_gamma_p(a: f64, p: f64) -> f64 {
         } else {
             (-x + a1 * x.ln() - gln).exp()
         };
-        // svbr-lint: allow(float-eq) exact underflow-to-zero terminates the series
+        // Exact underflow-to-zero terminates the series
         if t == 0.0 || !t.is_finite() {
             break;
         }
@@ -207,7 +207,7 @@ pub fn inv_gamma_p(a: f64, p: f64) -> f64 {
 /// Error function, via the incomplete gamma identity
 /// `erf(x) = sign(x)·P(½, x²)`.
 pub fn erf(x: f64) -> f64 {
-    // svbr-lint: allow(float-eq) erf(±0) = ±0 exactly; avoids 0/0 in the continued fraction
+    // erf(±0) = ±0 exactly; avoids 0/0 in the continued fraction
     if x == 0.0 {
         0.0
     } else if x > 0.0 {

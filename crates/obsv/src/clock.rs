@@ -1,9 +1,15 @@
 //! Process-wide monotonic clock and thread ordinals.
 //!
-//! All timing in the workspace flows through this module (enforced by the
-//! `no-raw-instant` xtask lint) so that span timestamps from different
-//! threads share one epoch and can be reassembled into a tree, and so that
-//! benchmark timing and trace timing agree with each other.
+//! All timing in the workspace flows through this module (clippy's
+//! `disallowed_types`/`disallowed_methods` ban `std::time::Instant`
+//! elsewhere) so that span timestamps from different threads share one
+//! epoch and can be reassembled into a tree, and so that benchmark timing
+//! and trace timing agree with each other.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "this clock defines the process epoch on top of Instant"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -18,6 +24,10 @@ thread_local! {
 
 /// The process epoch: the instant this clock was first consulted. All
 /// [`now_us`] readings are relative to it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this clock defines the process epoch on top of Instant"
+)]
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
@@ -37,8 +47,8 @@ pub fn thread_ordinal() -> u64 {
 }
 
 /// A restartable stopwatch over the process clock. The unit of timing for
-/// everything outside `crates/obsv` / `crates/profile` (raw
-/// `std::time::Instant` is linted out elsewhere).
+/// everything outside this module (raw `std::time::Instant` is a
+/// disallowed type elsewhere).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start_us: u64,
@@ -85,10 +95,13 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-OS-thread ordinals need real threads"
+    )]
     fn thread_ordinals_are_distinct_and_stable() {
         let mine = thread_ordinal();
         assert_eq!(mine, thread_ordinal(), "ordinal is stable per thread");
-        // svbr-lint: allow(no-raw-thread) per-OS-thread ordinals need real threads
         let theirs = std::thread::scope(|s| {
             let h1 = s.spawn(thread_ordinal);
             let h2 = s.spawn(thread_ordinal);

@@ -29,6 +29,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Instrumentation must degrade (drop the event, return a detached metric),
+// never abort the instrumented computation.
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod alerts;
 pub mod clock;
@@ -279,11 +282,14 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "races the atomic counter on raw threads"
+    )]
     fn concurrent_counter_increments() {
         let reg = Registry::new();
         let threads = 8;
         let per_thread = 10_000u64;
-        // svbr-lint: allow(no-raw-thread) races the atomic counter on raw threads
         std::thread::scope(|s| {
             for _ in 0..threads {
                 let c = reg.counter("shared");

@@ -2,6 +2,11 @@
 //! and a final metrics snapshot — everything needed to identify and compare
 //! runs after the fact.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a manifest times its own lifetime, independent of when the obsv process epoch was first read"
+)]
+
 use crate::event::{push_json_number, push_json_string};
 use crate::metrics::Snapshot;
 use std::path::Path;
@@ -31,6 +36,10 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Start a manifest now; reads the git revision from `root`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a manifest times its own lifetime, independent of when the obsv process epoch was first read"
+    )]
     pub fn new(name: &str, seed: u64, root: &Path) -> Self {
         Self {
             name: name.to_string(),

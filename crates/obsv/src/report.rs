@@ -148,7 +148,7 @@ fn fmt_ms(us: f64) -> String {
 fn fmt_val(v: f64) -> String {
     if v.is_nan() {
         "-".to_string()
-    // svbr-lint: allow(float-eq) exact zero picks the fixed-point format; near-zero is fine either way
+    // Exact zero picks the fixed-point format; near-zero is fine either way
     } else if v == 0.0 || (v.abs() >= 1e-3 && v.abs() < 1e7) {
         format!("{v:.6}")
     } else {

@@ -226,7 +226,10 @@ mod tests {
             .collect();
         for threads in [1usize, 2, 8] {
             let chunks: Vec<&[(u64, u64)]> = grid.chunks(grid.len().div_ceil(threads)).collect();
-            // svbr-lint: allow(no-raw-thread) test-only determinism check across explicit thread counts
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test-only determinism check across explicit thread counts"
+            )]
             let results: Vec<Vec<TraceCtx>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .iter()

@@ -20,10 +20,9 @@
 //!    thread. Callers fold the returned `Vec` sequentially, so floating
 //!    point accumulation order is fixed regardless of parallelism.
 //!
-//! The only thread primitive used is `std::thread::scope`; the
-//! `no-raw-thread` svbr-lint rule confines raw thread spawning to this
-//! crate so every parallel code path in the workspace inherits these
-//! guarantees.
+//! The only thread primitive used is `std::thread::scope`; clippy's
+//! `disallowed_methods` list bans raw thread spawning everywhere else, so
+//! every parallel code path in the workspace inherits these guarantees.
 //!
 //! Observability: each run emits a `par.run` point (replications, workers)
 //! and bumps the `par.runs` / `par.replications` counters; the
@@ -92,6 +91,10 @@ fn threads_from_str(value: Option<&str>) -> usize {
 /// spawning, identical output.
 ///
 /// A panic inside `f` propagates to the caller.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the executor: all workspace fan-out goes through this scope"
+)]
 pub fn par_map_blocks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -116,7 +119,10 @@ where
             handles.push(s.spawn(move || f(lo..hi)));
         }
         for h in handles {
-            // svbr-lint: allow(no-expect) propagating a worker panic to the caller is the contract
+            #[expect(
+                clippy::expect_used,
+                reason = "propagating a worker panic to the caller is the contract"
+            )]
             parts.push(h.join().expect("svbr-par worker panicked"));
         }
     });
@@ -185,7 +191,7 @@ mod tests {
     fn derive_seed_is_pure_and_spread_out() {
         assert_eq!(derive_seed(42, 0), derive_seed(42, 0));
         // Distinct indices and distinct masters give distinct seeds.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for master in [0u64, 1, 42, u64::MAX] {
             for i in 0..1000u64 {
                 assert!(seen.insert(derive_seed(master, i)), "collision at {i}");
@@ -241,6 +247,10 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts that a worker panic reaches the caller"
+        )]
         let r = std::panic::catch_unwind(|| {
             par_map_blocks(8, 4, |r| {
                 assert!(!r.contains(&5), "boom");

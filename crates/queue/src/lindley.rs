@@ -507,6 +507,10 @@ mod tests {
         assert!(LindleyLanes::new(1.0, 0).is_err());
         let mut ok = LindleyLanes::new(1.0, 2)?;
         assert_eq!(ok.levels(), &[0.0, 0.0]);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts that a lane/arrival length mismatch panics"
+        )]
         let caught = std::panic::catch_unwind(move || {
             ok.step(&[1.0]);
         });

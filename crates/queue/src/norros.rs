@@ -98,7 +98,7 @@ pub fn norros_overflow(traffic: &FbmTraffic, service: f64, buffer: f64) -> Resul
             constraint: ">= 0",
         });
     }
-    // svbr-lint: allow(float-eq) exact empty buffer: overflow probability is exactly 1
+    // Exact empty buffer: overflow probability is exactly 1
     if buffer == 0.0 {
         return Ok(1.0);
     }

@@ -21,7 +21,10 @@ pub fn superpose(paths: &[Vec<f64>]) -> Result<Vec<f64>, QueueError> {
             constraint: "at least one source",
         });
     }
-    // svbr-lint: allow(no-expect) `paths` emptiness is rejected by the guard above
+    #[expect(
+        clippy::expect_used,
+        reason = "`paths` emptiness is rejected by the guard above"
+    )]
     let len = paths.iter().map(|p| p.len()).min().expect("non-empty");
     if len == 0 {
         return Err(QueueError::PathTooShort { needed: 1, got: 0 });
@@ -113,7 +116,10 @@ pub fn required_capacity(
         });
     }
     let overflow_frac = |service: f64| -> f64 {
-        // svbr-lint: allow(no-expect) caller-side binary search only probes positive service rates
+        #[expect(
+            clippy::expect_used,
+            reason = "caller-side binary search only probes positive service rates"
+        )]
         let mut q = LindleyQueue::new(service).expect("service > 0");
         let mut count = 0usize;
         let mut slots = 0usize;

@@ -60,7 +60,10 @@ where
             constraint: "non-empty and nondecreasing",
         });
     }
-    // svbr-lint: allow(no-expect) stop_times emptiness is rejected by the guard above
+    #[expect(
+        clippy::expect_used,
+        reason = "stop_times emptiness is rejected by the guard above"
+    )]
     let horizon = *stop_times.last().expect("non-empty");
     let mut hits = vec![0usize; stop_times.len()];
     for rep in 0..n_reps {

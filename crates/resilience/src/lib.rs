@@ -48,7 +48,6 @@ use std::sync::Mutex;
 /// Process-wide recovery/annotation log. The supervisor, ladder and fault
 /// harness append one line per notable event; the run driver drains the
 /// log into the `RunManifest` notes at shutdown so no recovery is silent.
-// svbr-analyze: allow(no-unbounded-channel) bounded by O(notable events per run), drained into the manifest once at shutdown; never a request-rate queue
 static EVENTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Append a line to the process-wide resilience event log.

@@ -199,6 +199,10 @@ impl Supervisor {
                     site: site.to_string(),
                 });
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "no caught panic is silent: Supervisor::report records each on the resilience.failures counter and the resilience.failure point"
+            )]
             let outcome = catch_unwind(AssertUnwindSafe(|| work(attempt)));
             svbr_obsv::counter("resilience.supervised_attempts").add(1);
             let failure = match outcome {

@@ -409,7 +409,10 @@ fn main() -> ExitCode {
     }
 
     let sw = Stopwatch::start();
-    // svbr-lint: allow(no-raw-thread) load harness: one blocking HTTP client per concurrent session is the workload being generated
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load harness: one blocking HTTP client per concurrent session is the workload being generated"
+    )]
     let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.sessions)
             .map(|i| {

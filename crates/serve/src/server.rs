@@ -309,7 +309,10 @@ impl Server {
     fn spawn_worker(&self, spec: SessionSpec, start: GenState) -> Receiver<WorkerMsg> {
         let (tx, rx) = mpsc::sync_channel(self.inner.cfg.buffer_chunks.max(1));
         let inner = Arc::clone(&self.inner);
-        // svbr-lint: allow(no-raw-thread) one supervised worker per session behind a bounded channel; a blocked (slow) client parks only this thread
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one supervised worker per session behind a bounded channel; a blocked (slow) client parks only this thread"
+        )]
         std::thread::spawn(move || {
             let pressure = || inner.active.load(Ordering::SeqCst) >= inner.cfg.degrade_watermark;
             run_session(&spec, start, &inner.table, &inner.transform, pressure, &tx);
@@ -506,7 +509,10 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let inner = Arc::clone(&self.inner);
-                    // svbr-lint: allow(no-raw-thread) one short-lived handler per connection; all request state lives behind the session map lock
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "one short-lived handler per connection; all request state lives behind the session map lock"
+                    )]
                     std::thread::spawn(move || handle_conn(&Server { inner }, stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -858,7 +864,10 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         let inner = Arc::clone(&server.inner);
-        // svbr-lint: allow(no-raw-thread) test harness: the accept loop must run while this test drives it as a client
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness: the accept loop must run while this test drives it as a client"
+        )]
         let accept = std::thread::spawn(move || Server { inner }.serve_on(listener));
 
         let get = |path: &str| -> (u16, String) {
@@ -965,7 +974,10 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         let inner = Arc::clone(&server.inner);
-        // svbr-lint: allow(no-raw-thread) test harness: the accept loop must run while this test drives it as a client
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness: the accept loop must run while this test drives it as a client"
+        )]
         let accept = std::thread::spawn(move || Server { inner }.serve_on(listener));
 
         let engine = svbr_obsv::install_alerts(vec![AlertRule::new(

@@ -532,6 +532,10 @@ pub fn run_session(
 /// channel and discarding bodies. Returns the delivered-chunk count, or
 /// the session's terminal failure. This is the in-process harness the
 /// bench suite and tests drive — the same worker loop the server spawns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scoped single-session worker; the generation itself stays sequential and the channel is bounded"
+)]
 pub fn drain_session(
     spec: &SessionSpec,
     start: GenState,
@@ -540,7 +544,6 @@ pub fn drain_session(
     buffer: usize,
 ) -> Result<u64, ServeError> {
     let (tx, rx) = mpsc::sync_channel(buffer.max(1));
-    // svbr-lint: allow(no-raw-thread) scoped single-session worker; the generation itself stays sequential and the channel is bounded
     std::thread::scope(|scope| {
         scope.spawn(move || run_session(spec, start, table, transform, || false, &tx));
         let mut delivered = 0u64;

@@ -145,6 +145,10 @@ impl Histogram {
     /// Total-variation-style distance between the frequency vectors of two
     /// histograms with identical binning: `½ Σ |p_i − q_i|` ∈ [0, 1].
     pub fn l1_distance(&self, other: &Self) -> Result<f64, StatsError> {
+        #[expect(
+            clippy::float_cmp,
+            reason = "identical binning means bit-equal edges; near-equal edges put samples in different bins"
+        )]
         if self.bins() != other.bins() || self.min != other.min || self.max != other.max {
             return Err(StatsError::InvalidParameter {
                 name: "other",

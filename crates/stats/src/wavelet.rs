@@ -86,6 +86,10 @@ pub struct WaveletEstimate {
 /// Estimate H from the wavelet spectrum over octaves `j_min..=j_max`
 /// (clipped to the available range), weighting each octave by its
 /// coefficient count.
+#[expect(
+    clippy::expect_used,
+    reason = "`used` length was checked >= 2 before the fit"
+)]
 pub fn wavelet_hurst(
     xs: &[f64],
     j_min: usize,
@@ -139,15 +143,14 @@ pub fn wavelet_hurst(
         hurst: (slope + 1.0) / 2.0,
         slope,
         range: (
-            // svbr-lint: allow(no-expect) `used` length was checked >= 2 before the fit
             *used.first().expect("non-empty"),
-            // svbr-lint: allow(no-expect) `used` length was checked >= 2 before the fit
             *used.last().expect("non-empty"),
         ),
     })
 }
 
 /// Convenience: an unweighted fit over all octaves (diagnostic).
+#[expect(clippy::expect_used, reason = "spectrum always contains octave 1")]
 pub fn wavelet_hurst_unweighted(xs: &[f64]) -> Result<WaveletEstimate, StatsError> {
     let spec = haar_spectrum(xs, 8)?;
     let pts: Vec<(f64, f64)> = spec
@@ -162,9 +165,7 @@ pub fn wavelet_hurst_unweighted(xs: &[f64]) -> Result<WaveletEstimate, StatsErro
         hurst: (fit.slope + 1.0) / 2.0,
         slope: fit.slope,
         range: (
-            // svbr-lint: allow(no-expect) spectrum always contains octave 1
             *spec.octaves.first().expect("non-empty"),
-            // svbr-lint: allow(no-expect) spectrum always contains octave 1
             *spec.octaves.last().expect("non-empty"),
         ),
     })

@@ -122,9 +122,12 @@ impl VirtualCodec {
     }
 
     /// Construct with all defaults (the reference configuration).
+    #[expect(
+        clippy::expect_used,
+        reason = "the Default configs satisfy every constructor range check"
+    )]
     pub fn default_codec() -> Self {
         Self::new(SceneConfig::default(), CodecConfig::default())
-            // svbr-lint: allow(no-expect) the Default configs satisfy every constructor range check
             .expect("default configuration is valid")
     }
 

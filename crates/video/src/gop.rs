@@ -72,8 +72,11 @@ impl GopPattern {
     }
 
     /// The paper's pattern: `IBBPBBPBBPBB` (period 12).
+    #[expect(
+        clippy::expect_used,
+        reason = "the literal contains only I/B/P and starts with I"
+    )]
     pub fn mpeg1_default() -> Self {
-        // svbr-lint: allow(no-expect) the literal contains only I/B/P and starts with I
         Self::parse("IBBPBBPBBPBB").expect("static pattern is valid")
     }
 

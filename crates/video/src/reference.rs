@@ -52,8 +52,11 @@ pub fn reference_trace() -> FrameTrace {
 /// Generate a reference-configured trace of arbitrary length with the same
 /// pinned seed.
 pub fn reference_trace_of_len(frames: usize) -> FrameTrace {
+    #[expect(
+        clippy::expect_used,
+        reason = "the reference configuration is a compile-time constant within range"
+    )]
     let codec = VirtualCodec::new(SceneConfig::default(), CodecConfig::default())
-        // svbr-lint: allow(no-expect) the reference configuration is a compile-time constant within range
         .expect("reference configuration is valid");
     let mut rng = StdRng::seed_from_u64(REFERENCE.seed);
     codec.encode(frames, &mut rng)
@@ -72,6 +75,10 @@ pub fn reference_trace_intra() -> FrameTrace {
 
 /// Intraframe-only reference trace of arbitrary length (same pinned seed).
 pub fn reference_trace_intra_of_len(frames: usize) -> FrameTrace {
+    #[expect(
+        clippy::expect_used,
+        reason = "the reference configuration is a compile-time constant within range"
+    )]
     let codec = VirtualCodec::new(
         SceneConfig::default(),
         CodecConfig {
@@ -79,7 +86,6 @@ pub fn reference_trace_intra_of_len(frames: usize) -> FrameTrace {
             ..CodecConfig::default()
         },
     )
-    // svbr-lint: allow(no-expect) the reference configuration is a compile-time constant within range
     .expect("reference configuration is valid");
     let mut rng = StdRng::seed_from_u64(REFERENCE.seed);
     codec.encode(frames, &mut rng)

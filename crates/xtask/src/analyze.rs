@@ -1,12 +1,12 @@
 //! `svbr-xtask analyze` — the cross-file determinism & numeric-safety audit.
 //!
-//! Where `lint` is a per-line token scan, `analyze` builds a [`FileModel`]
-//! per file and enforces five rule families across the workspace:
+//! Everything clippy can enforce is clippy's job (`clippy.toml` and the CI
+//! clippy passes; DESIGN.md §3b). `analyze` covers the repo-specific rest:
+//! it builds a [`FileModel`] per file and enforces these rule families
+//! across the workspace:
 //!
 //! | ID                         | what it flags                                            |
 //! |----------------------------|----------------------------------------------------------|
-//! | `det-unordered-collection` | `HashMap`/`HashSet` (or an alias) in a bit-identity crate |
-//! | `det-unordered-iter`       | iteration over an unordered collection there             |
 //! | `det-float-reduction`      | `.sum()`/`.fold()`/… chained onto a `par_*` adapter      |
 //! | `seed-flow`                | a seeded `pub fn` leaking ambient entropy, or a dead seed |
 //! | `panic-surface`            | arithmetic slice indexing inside a loop body             |
@@ -15,37 +15,26 @@
 //! | `metric-undocumented`      | a registered metric missing from DESIGN.md's registry    |
 //! | `metric-dead`              | a DESIGN.md registry row no code registers               |
 //! | `metric-labels`            | label keys off the documented set, malformed, reserved, or over the per-site cap |
-//! | `no-unbounded-channel`     | an unbounded cross-thread queue in a bit-identity or serve crate |
 //! | `alert-rule-undocumented`  | an `AlertRule::new("…")` name missing from DESIGN.md's alert table |
 //! | `alloc-in-hot-loop`        | a heap allocation (`Vec::new`/`vec!`/`collect`/`to_vec`/`Box::new`) in a loop body of a bit-identity crate |
+//! | `unused-waiver`            | an `svbr-analyze:` waiver that suppressed no finding     |
 //!
-//! The determinism and panic-surface families apply only to the crates
-//! that promise bit-identical output ([`AUDITED_CRATES`]); the channel
-//! rule extends that set with the session service
-//! ([`CHANNEL_AUDITED_CRATES`]); seed-flow and the metric registry are
-//! workspace-wide. Waivers use the shared grammar
-//! (`// svbr-analyze: allow(<id>) [expires = "…"] <invariant>`, see
-//! [`crate::waivers`]) and get the same unused/expired audit as lint.
-//! The channel rule additionally inspects the waiver's invariant text: an
-//! unbounded queue may only be excused by a *stated capacity invariant*
-//! (the text must say what bounds it — "bounded by …" / "capacity …"), so
-//! a bare waiver cannot smuggle an unbounded queue past review.
+//! The determinism, panic-surface and allocation families apply only to
+//! the crates that promise bit-identical output ([`AUDITED_CRATES`]);
+//! seed-flow and the metric registry are workspace-wide. Waivers are
+//! `// svbr-analyze: allow(<id>) <invariant>` comments (see
+//! [`crate::waivers`]). The allocation rule additionally inspects the
+//! waiver's invariant text: it must say why the allocation is bounded or
+//! happens once, so a bare waiver cannot excuse a per-sample allocation.
 
-use crate::model::{find_token_from, has_token, line_of, FileModel, MetricKind};
-use crate::rules::{audit_waivers, FileClass};
+use crate::model::{find_token_from, has_token, line_of, FileClass, FileModel, MetricKind};
 use crate::waivers::{collect_waivers, WaiverBook};
 use std::path::Path;
 
 /// Crates whose public results must be bit-identical across thread counts
-/// and checkpoint resume: the determinism and panic-surface families apply
-/// to their library code.
+/// and checkpoint resume: the determinism, panic-surface and allocation
+/// families apply to their library code.
 pub const AUDITED_CRATES: &[&str] = &["par", "lrd", "is", "queue", "core", "resilience"];
-
-/// Extra crates (beyond [`AUDITED_CRATES`]) the `no-unbounded-channel`
-/// rule covers. The session service's backpressure guarantee — a slow
-/// client never blocks other sessions or grows server memory — holds only
-/// if every inter-thread queue carries an explicit capacity.
-pub const CHANNEL_AUDITED_CRATES: &[&str] = &["serve"];
 
 /// Allowed first segments of an `svbr_obsv` metric name.
 pub const METRIC_PREFIXES: &[&str] = &[
@@ -73,8 +62,6 @@ pub const MAX_METRIC_LABEL_KEYS: usize = 3;
 pub const RESERVED_LABEL_KEY: &str = "other";
 
 /// Rule IDs.
-pub const DET_UNORDERED_COLLECTION: &str = "det-unordered-collection";
-pub const DET_UNORDERED_ITER: &str = "det-unordered-iter";
 pub const DET_FLOAT_REDUCTION: &str = "det-float-reduction";
 pub const SEED_FLOW: &str = "seed-flow";
 pub const PANIC_SURFACE: &str = "panic-surface";
@@ -83,15 +70,13 @@ pub const METRIC_KIND_CONFLICT: &str = "metric-kind-conflict";
 pub const METRIC_UNDOCUMENTED: &str = "metric-undocumented";
 pub const METRIC_DEAD: &str = "metric-dead";
 pub const METRIC_LABELS: &str = "metric-labels";
-pub const NO_UNBOUNDED_CHANNEL: &str = "no-unbounded-channel";
 pub const ALERT_RULE_UNDOCUMENTED: &str = "alert-rule-undocumented";
 pub const ALLOC_IN_HOT_LOOP: &str = "alloc-in-hot-loop";
+pub const UNUSED_WAIVER: &str = "unused-waiver";
 
 /// The per-site-waivable subset this pass owns for the waiver audit
 /// (`metric-dead` anchors in DESIGN.md, which has no waiver comments).
 pub const ANALYZE_WAIVABLE_IDS: &[&str] = &[
-    DET_UNORDERED_COLLECTION,
-    DET_UNORDERED_ITER,
     DET_FLOAT_REDUCTION,
     SEED_FLOW,
     PANIC_SURFACE,
@@ -99,7 +84,6 @@ pub const ANALYZE_WAIVABLE_IDS: &[&str] = &[
     METRIC_KIND_CONFLICT,
     METRIC_UNDOCUMENTED,
     METRIC_LABELS,
-    NO_UNBOUNDED_CHANNEL,
     ALERT_RULE_UNDOCUMENTED,
     ALLOC_IN_HOT_LOOP,
 ];
@@ -129,7 +113,7 @@ pub struct AnalyzeReport {
 }
 
 /// Analyze every `.rs` file under `root` plus the DESIGN.md registry.
-pub fn analyze_tree(root: &Path, today: &str) -> AnalyzeReport {
+pub fn analyze_tree(root: &Path) -> AnalyzeReport {
     let mut paths = Vec::new();
     crate::collect_rs_files(root, &mut paths);
     paths.sort();
@@ -150,16 +134,16 @@ pub fn analyze_tree(root: &Path, today: &str) -> AnalyzeReport {
         .map(|(r, s)| (r.as_str(), s.as_str()))
         .collect();
     let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    analyze_sources(&borrowed, design.as_deref(), today)
+    analyze_sources(&borrowed, design.as_deref())
 }
 
 /// Analyze in-memory sources (the testable core of [`analyze_tree`]).
-pub fn analyze_sources(files: &[(&str, &str)], design: Option<&str>, today: &str) -> AnalyzeReport {
+pub fn analyze_sources(files: &[(&str, &str)], design: Option<&str>) -> AnalyzeReport {
     let mut ctxs: Vec<(FileModel, WaiverBook)> = files
         .iter()
         .map(|(rel, src)| {
             let model = FileModel::build(rel, src);
-            let book = WaiverBook::new(collect_waivers(&model.masked.comments), today);
+            let book = WaiverBook::new(collect_waivers(&model.masked.comments));
             (model, book)
         })
         .collect();
@@ -172,13 +156,17 @@ pub fn analyze_sources(files: &[(&str, &str)], design: Option<&str>, today: &str
     alert_rule_rules(&mut ctxs, files, design, &mut findings);
     for (model, book) in &ctxs {
         findings.extend(
-            audit_waivers(book, &model.rel_path, ANALYZE_WAIVABLE_IDS)
+            book.unused(ANALYZE_WAIVABLE_IDS)
                 .into_iter()
-                .map(|v| Finding {
-                    file: v.file,
-                    line: v.line,
-                    rule: v.rule.id(),
-                    message: v.message,
+                .map(|w| Finding {
+                    file: model.rel_path.clone(),
+                    line: w.line,
+                    rule: UNUSED_WAIVER,
+                    message: format!(
+                        "waiver for `{}` matched no finding: the code it excused was \
+                 fixed or moved — delete the stale waiver",
+                        w.ids.join(", ")
+                    ),
                 }),
         );
     }
@@ -190,9 +178,9 @@ pub fn analyze_sources(files: &[(&str, &str)], design: Option<&str>, today: &str
     }
 }
 
-/// The per-file families: determinism, panic-surface, seed-flow.
+/// The per-file families: determinism, panic-surface, allocation,
+/// seed-flow.
 fn file_rules(model: &FileModel, book: &mut WaiverBook, out: &mut Vec<Finding>) {
-    channel_rules(model, book, out);
     alloc_rules(model, book, out);
     let audited =
         model.class == FileClass::Library && AUDITED_CRATES.contains(&model.crate_name.as_str());
@@ -208,46 +196,21 @@ fn file_rules(model: &FileModel, book: &mut WaiverBook, out: &mut Vec<Finding>) 
     };
 
     if audited {
-        let lines: Vec<&str> = model.masked.code.lines().collect();
-        for (idx, &lt) in lines.iter().enumerate() {
+        for (idx, lt) in model.masked.code.lines().enumerate() {
             let line_no = idx + 1;
-            if model.in_test(line_no) {
+            if model.in_test(line_no) || !model.in_loop(line_no) {
                 continue;
             }
-            if let Some(ty) = model.unordered_types.iter().find(|t| has_token(lt, t)) {
+            if let Some(expr) = arithmetic_index(lt) {
                 push(
                     line_no,
-                    DET_UNORDERED_COLLECTION,
+                    PANIC_SURFACE,
                     format!(
-                        "`{ty}` in bit-identity crate `{}`: iteration order is \
-                         nondeterministic — use `BTreeMap`/`BTreeSet` (or waive \
-                         with the invariant that no result depends on order)",
-                        model.crate_name
+                        "arithmetic slice index `[{expr}]` inside a loop: \
+                         prefer `get`/iterators/`split_at`, or waive with \
+                         the bounds invariant"
                     ),
                 );
-            }
-            if let Some((ident, how)) = unordered_iteration(lt, &model.unordered_idents) {
-                push(
-                    line_no,
-                    DET_UNORDERED_ITER,
-                    format!(
-                        "{how} over unordered `{ident}`: order varies run-to-run — \
-                         iterate a `BTreeMap` or a sorted snapshot instead"
-                    ),
-                );
-            }
-            if model.in_loop(line_no) {
-                if let Some(expr) = arithmetic_index(lt) {
-                    push(
-                        line_no,
-                        PANIC_SURFACE,
-                        format!(
-                            "arithmetic slice index `[{expr}]` inside a loop: \
-                             prefer `get`/iterators/`split_at`, or waive with \
-                             the bounds invariant"
-                        ),
-                    );
-                }
             }
         }
         for (line, chain) in float_reductions(&model.masked.code, model) {
@@ -266,78 +229,6 @@ fn file_rules(model: &FileModel, book: &mut WaiverBook, out: &mut Vec<Finding>) 
     if model.class == FileClass::Library {
         seed_flow_rules(model, &mut push);
     }
-}
-
-/// `no-unbounded-channel`: cross-thread queues in the bit-identity crates
-/// and the session service must carry an explicit capacity. An unbounded
-/// `mpsc::channel`, a crossbeam-style `unbounded()`, or a `Vec`/`VecDeque`
-/// behind a lock used as a hand-off queue lets one slow consumer grow
-/// memory without limit and breaks the serve-layer backpressure story. A
-/// waiver only counts if its invariant text states what bounds the queue.
-fn channel_rules(model: &FileModel, book: &mut WaiverBook, out: &mut Vec<Finding>) {
-    let scoped = model.class == FileClass::Library
-        && (AUDITED_CRATES.contains(&model.crate_name.as_str())
-            || CHANNEL_AUDITED_CRATES.contains(&model.crate_name.as_str()));
-    if !scoped {
-        return;
-    }
-    for (idx, lt) in model.masked.code.lines().enumerate() {
-        let line_no = idx + 1;
-        if model.in_test(line_no) {
-            continue;
-        }
-        let Some(what) = unbounded_queue(lt) else {
-            continue;
-        };
-        if book.suppresses(line_no, NO_UNBOUNDED_CHANNEL) {
-            let reason = book
-                .reason_at(line_no, NO_UNBOUNDED_CHANNEL)
-                .unwrap_or_default();
-            let lower = reason.to_lowercase();
-            if !(lower.contains("bound") || lower.contains("capacit")) {
-                // Pushed directly: the waiver that failed the invariant
-                // check must not also suppress the check's own finding.
-                out.push(Finding {
-                    file: model.rel_path.clone(),
-                    line: line_no,
-                    rule: NO_UNBOUNDED_CHANNEL,
-                    message: format!(
-                        "waiver for {what} must state the capacity invariant \
-                         that bounds the queue (say what bounds it, e.g. \
-                         \"bounded by …\"); found: \"{reason}\""
-                    ),
-                });
-            }
-            continue;
-        }
-        out.push(Finding {
-            file: model.rel_path.clone(),
-            line: line_no,
-            rule: NO_UNBOUNDED_CHANNEL,
-            message: format!(
-                "{what} in `{}`: use a bounded queue (`mpsc::sync_channel`) \
-                 or waive with the stated capacity invariant",
-                model.crate_name
-            ),
-        });
-    }
-}
-
-/// What makes a line an unbounded cross-thread queue, if anything.
-fn unbounded_queue(lt: &str) -> Option<&'static str> {
-    // `mpsc::channel(` / `mpsc::channel::<` — never matches `sync_channel`.
-    if lt.contains("mpsc::channel") {
-        return Some("unbounded `mpsc::channel`");
-    }
-    // crossbeam/tokio spellings, should they ever be vendored.
-    if lt.contains("unbounded_channel") || has_token(lt, "unbounded") {
-        return Some("unbounded channel constructor");
-    }
-    // Vec-as-queue behind a lock (covers `VecDeque` via the prefix).
-    if lt.contains("Mutex<Vec") || lt.contains("RwLock<Vec") {
-        return Some("`Vec`-as-queue behind a lock");
-    }
-    None
 }
 
 /// `alloc-in-hot-loop`: heap allocation inside a loop body of a
@@ -435,7 +326,7 @@ fn seed_flow_rules(model: &FileModel, push: &mut impl FnMut(usize, &'static str,
         let seed_params: Vec<&str> = f
             .params
             .iter()
-            .map(|p| p.name.as_str())
+            .map(String::as_str)
             .filter(|n| *n == "seed" || *n == "master_seed" || n.ends_with("_seed"))
             .collect();
         if seed_params.is_empty() {
@@ -474,58 +365,6 @@ fn seed_flow_rules(model: &FileModel, push: &mut impl FnMut(usize, &'static str,
             }
         }
     }
-}
-
-/// Iteration over a known unordered ident: either `ident.iter()`-style
-/// method calls or a `for … in … ident` header. Returns `(ident, how)`.
-fn unordered_iteration(line: &str, idents: &[String]) -> Option<(String, &'static str)> {
-    const METHODS: &[&str] = &[
-        "iter",
-        "iter_mut",
-        "keys",
-        "values",
-        "values_mut",
-        "into_iter",
-        "drain",
-        "retain",
-    ];
-    let bytes = line.as_bytes();
-    for meth in METHODS {
-        let pat = format!(".{meth}(");
-        let mut from = 0usize;
-        while let Some(rel) = line[from..].find(&pat) {
-            let at = from + rel;
-            from = at + pat.len();
-            // The ident immediately before the dot.
-            let mut s = at;
-            while s > 0 && (bytes[s - 1].is_ascii_alphanumeric() || bytes[s - 1] == b'_') {
-                s -= 1;
-            }
-            let recv = &line[s..at];
-            if idents.iter().any(|id| id == recv) {
-                return Some((recv.to_string(), "method iteration"));
-            }
-        }
-    }
-    // `for (k, v) in &self.index {` / `for k in names {`
-    if has_token(line, "for") {
-        if let Some(at) = find_token_from(line, "in", 0) {
-            let tail = line[at + 2..]
-                .trim_start()
-                .trim_start_matches('&')
-                .trim_start_matches("mut ");
-            let tail = tail.strip_prefix("self.").unwrap_or(tail);
-            let ident: String = tail
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            let rest = tail[ident.len()..].trim();
-            if idents.contains(&ident) && (rest.is_empty() || rest.starts_with('{')) {
-                return Some((ident, "`for … in`"));
-            }
-        }
-    }
-    None
 }
 
 /// `[…]` with an arithmetic index expression (`i + 1`, `2 * k - j`, …) on a
@@ -1038,7 +877,7 @@ fn alert_rule_rules(
 
 impl AnalyzeReport {
     /// Plain-text rendering (one `file:line: [rule] message` per finding,
-    /// then a summary line), matching the lint output shape.
+    /// then a summary line).
     pub fn render_text(&self) -> String {
         let mut s = String::new();
         for f in &self.findings {
@@ -1060,7 +899,7 @@ impl AnalyzeReport {
         s
     }
 
-    /// JSON rendering, matching the lint report's envelope style.
+    /// JSON rendering: `{files_scanned, metric_names, findings: [...]}`.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
@@ -1087,10 +926,8 @@ impl AnalyzeReport {
 mod tests {
     use super::*;
 
-    const TODAY: &str = "2026-08-09";
-
     fn findings(files: &[(&str, &str)], design: Option<&str>) -> Vec<Finding> {
-        analyze_sources(files, design, TODAY).findings
+        analyze_sources(files, design).findings
     }
 
     fn of_rule<'a>(fs: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
@@ -1098,72 +935,6 @@ mod tests {
     }
 
     // ---- determinism family ---------------------------------------------
-
-    #[test]
-    fn fixture_det_unordered_collection_fires() {
-        let src = "use std::collections::HashMap;\npub fn f() {\n    let m: HashMap<u8, u8> = HashMap::new();\n    let _ = m;\n}\n";
-        let fs = findings(&[("crates/par/src/lib.rs", src)], None);
-        let hits = of_rule(&fs, DET_UNORDERED_COLLECTION);
-        assert_eq!(
-            hits.iter().map(|f| f.line).collect::<Vec<_>>(),
-            vec![1, 3],
-            "use line and binding line both fire"
-        );
-        // BTreeMap is clean.
-        let clean = src.replace("HashMap", "BTreeMap");
-        let fs = findings(&[("crates/par/src/lib.rs", clean.as_str())], None);
-        assert!(of_rule(&fs, DET_UNORDERED_COLLECTION).is_empty());
-        // Unaudited crates are out of scope.
-        let fs = findings(&[("crates/profile/src/lib.rs", src)], None);
-        assert!(of_rule(&fs, DET_UNORDERED_COLLECTION).is_empty());
-        // Test scopes are exempt.
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
-        let fs = findings(&[("crates/par/src/lib.rs", in_test.as_str())], None);
-        assert!(of_rule(&fs, DET_UNORDERED_COLLECTION).is_empty());
-        // A waiver suppresses, and is counted as used (no unused-waiver).
-        let waived = "// svbr-analyze: allow(det-unordered-collection) key order never observed\nuse std::collections::HashMap;\npub fn f(m: &HashMap<u8, u8>) -> usize { m.len() }\n";
-        let fs = findings(&[("crates/par/src/lib.rs", waived)], None);
-        assert_eq!(
-            of_rule(&fs, DET_UNORDERED_COLLECTION)
-                .iter()
-                .map(|f| f.line)
-                .collect::<Vec<_>>(),
-            vec![3],
-            "only the unwaived param line still fires"
-        );
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
-    }
-
-    #[test]
-    fn fixture_det_unordered_iter_fires() {
-        let src = "\
-use std::collections::HashMap;
-pub struct S {
-    index: HashMap<String, u64>,
-}
-impl S {
-    pub fn walk(&self) -> u64 {
-        let mut acc = 0;
-        for (_k, v) in &self.index {
-            acc += v;
-        }
-        let _names: Vec<&String> = self.index.keys().collect();
-        acc
-    }
-}
-";
-        let fs = findings(&[("crates/queue/src/lib.rs", src)], None);
-        let hits = of_rule(&fs, DET_UNORDERED_ITER);
-        assert_eq!(
-            hits.iter().map(|f| f.line).collect::<Vec<_>>(),
-            vec![8, 11],
-            "for-loop and .keys() both fire"
-        );
-        // Iterating a BTreeMap-typed ident does not fire.
-        let clean = src.replace("HashMap", "BTreeMap");
-        let fs = findings(&[("crates/queue/src/lib.rs", clean.as_str())], None);
-        assert!(of_rule(&fs, DET_UNORDERED_ITER).is_empty());
-    }
 
     #[test]
     fn fixture_det_float_reduction_fires() {
@@ -1186,94 +957,6 @@ pub fn total(chunks: &Chunks) -> f64 {
         let clean = "pub fn total(xs: &[f64]) -> f64 {\n    xs.iter().map(|x| x * 2.0).sum()\n}\n";
         let fs = findings(&[("crates/is/src/lib.rs", clean)], None);
         assert!(of_rule(&fs, DET_FLOAT_REDUCTION).is_empty());
-    }
-
-    // ---- no-unbounded-channel -------------------------------------------
-
-    #[test]
-    fn fixture_no_unbounded_channel_fires_in_scope() {
-        let src = "\
-use std::sync::mpsc;
-pub fn start() {
-    let (tx, rx) = mpsc::channel::<u64>();
-    let _ = (tx, rx);
-}
-";
-        // Fires in bit-identity crates and in the serve crate.
-        for path in ["crates/par/src/lib.rs", "crates/serve/src/server.rs"] {
-            let fs = findings(&[(path, src)], None);
-            let hits = of_rule(&fs, NO_UNBOUNDED_CHANNEL);
-            assert_eq!(
-                hits.iter().map(|f| f.line).collect::<Vec<_>>(),
-                vec![3],
-                "{path}"
-            );
-            assert!(
-                hits[0].message.contains("mpsc::channel"),
-                "{}",
-                hits[0].message
-            );
-        }
-        // A bounded channel is clean.
-        let bounded = src.replace("mpsc::channel::<u64>()", "mpsc::sync_channel::<u64>(4)");
-        let fs = findings(&[("crates/serve/src/server.rs", bounded.as_str())], None);
-        assert!(of_rule(&fs, NO_UNBOUNDED_CHANNEL).is_empty());
-        // Out-of-scope crates and test scopes are exempt.
-        let fs = findings(&[("crates/obsv/src/lib.rs", src)], None);
-        assert!(of_rule(&fs, NO_UNBOUNDED_CHANNEL).is_empty());
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
-        let fs = findings(&[("crates/serve/src/server.rs", in_test.as_str())], None);
-        assert!(of_rule(&fs, NO_UNBOUNDED_CHANNEL).is_empty());
-    }
-
-    #[test]
-    fn fixture_vec_as_queue_behind_lock_fires() {
-        let src = "\
-use std::sync::Mutex;
-pub struct Q {
-    jobs: Mutex<VecDeque<u64>>,
-}
-";
-        let fs = findings(&[("crates/queue/src/lib.rs", src)], None);
-        let hits = of_rule(&fs, NO_UNBOUNDED_CHANNEL);
-        assert_eq!(hits.iter().map(|f| f.line).collect::<Vec<_>>(), vec![3]);
-        assert!(
-            hits[0].message.contains("`Vec`-as-queue"),
-            "{}",
-            hits[0].message
-        );
-    }
-
-    #[test]
-    fn fixture_channel_waiver_must_state_capacity_invariant() {
-        // A waiver whose text states what bounds the queue suppresses.
-        let good = "\
-// svbr-analyze: allow(no-unbounded-channel) bounded by sessions x one pending event each
-static PENDING: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-";
-        let fs = findings(&[("crates/serve/src/server.rs", good)], None);
-        assert!(of_rule(&fs, NO_UNBOUNDED_CHANNEL).is_empty(), "{fs:?}");
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
-        // A waiver whose text states no capacity is itself a finding — the
-        // queue stays excused from the base rule, but the reviewer is told
-        // the justification is missing its load-bearing half.
-        let bare = "\
-// svbr-analyze: allow(no-unbounded-channel) reviewed, looks fine
-static PENDING: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-";
-        let fs = findings(&[("crates/serve/src/server.rs", bare)], None);
-        let hits = of_rule(&fs, NO_UNBOUNDED_CHANNEL);
-        assert_eq!(hits.len(), 1, "{fs:?}");
-        assert!(
-            hits[0].message.contains("capacity invariant"),
-            "{}",
-            hits[0].message
-        );
-        assert!(
-            hits[0].message.contains("reviewed, looks fine"),
-            "{}",
-            hits[0].message
-        );
     }
 
     // ---- seed-flow family -----------------------------------------------
@@ -1370,7 +1053,7 @@ pub fn restore(lines: &[&str]) -> Vec<Vec<f64>> {
 ";
         let fs = findings(&[("crates/resilience/src/ck.rs", waived)], None);
         assert!(of_rule(&fs, ALLOC_IN_HOT_LOOP).is_empty());
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
+        assert!(of_rule(&fs, UNUSED_WAIVER).is_empty());
         // …a bare waiver does not: the invariant check fires instead.
         let bare = waived.replace(
             "one-time restore path, bounded by checkpoint size",
@@ -1427,7 +1110,7 @@ pub fn acf(w: &[f64]) -> f64 {
 ";
         let fs = findings(&[("crates/lrd/src/acf.rs", waived)], None);
         assert!(of_rule(&fs, PANIC_SURFACE).is_empty());
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
+        assert!(of_rule(&fs, UNUSED_WAIVER).is_empty());
     }
 
     // ---- metric-registry family -----------------------------------------
@@ -1486,7 +1169,7 @@ pub fn f() {
     svbr_obsv::gauge(\"cache.bytes\").set(1);
 }
 ";
-        let report = analyze_sources(&[("crates/par/src/lib.rs", code)], Some(DESIGN_OK), TODAY);
+        let report = analyze_sources(&[("crates/par/src/lib.rs", code)], Some(DESIGN_OK));
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.metric_names, 2);
         // Registrations inside #[cfg(test)] are invisible to the registry.
@@ -1564,7 +1247,7 @@ pub fn f(id: &str) {
         let ml = of_rule(&fs, METRIC_LABELS);
         assert_eq!(ml.len(), 1, "{ml:?}");
         assert_eq!(ml[0].file, "DESIGN.md");
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
+        assert!(of_rule(&fs, UNUSED_WAIVER).is_empty());
     }
 
     // ---- alert-rule registry --------------------------------------------
@@ -1626,7 +1309,7 @@ pub fn rules() -> Vec<AlertRule> {
             Some(DESIGN_ALERTS),
         );
         assert!(of_rule(&fs, ALERT_RULE_UNDOCUMENTED).is_empty());
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
+        assert!(of_rule(&fs, UNUSED_WAIVER).is_empty());
     }
 
     #[test]
@@ -1669,54 +1352,28 @@ pub fn f(id: &str) {
     // ---- waiver audit ----------------------------------------------------
 
     #[test]
-    fn unused_and_expired_analyze_waivers_surface() {
+    fn unused_analyze_waivers_surface() {
         let unused = "// svbr-analyze: allow(seed-flow) nothing here needs it\npub fn ok() {}\n";
         let fs = findings(&[("crates/lrd/src/gen.rs", unused)], None);
-        let uw = of_rule(&fs, "unused-waiver");
+        let uw = of_rule(&fs, UNUSED_WAIVER);
         assert_eq!(uw.len(), 1);
         assert_eq!(uw[0].line, 1);
-        // An expired waiver stops suppressing and reports itself once.
-        let expired = "\
-pub fn acf(w: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for i in 1..w.len() {
-        // svbr-analyze: allow(panic-surface) expires = \"2026-01-01\" temporary
-        acc += w[i - 1];
-    }
-    acc
-}
-";
-        let fs = findings(&[("crates/lrd/src/acf.rs", expired)], None);
-        assert_eq!(of_rule(&fs, PANIC_SURFACE).len(), 1, "no longer suppressed");
-        assert_eq!(of_rule(&fs, "waiver-expired").len(), 1);
-        assert!(
-            of_rule(&fs, "unused-waiver").is_empty(),
-            "not double-reported"
-        );
-        // Lint-owned waivers are not analyze's to audit.
-        let foreign = "// svbr-lint: allow(no-unwrap) lint's business\npub fn ok() {}\n";
-        let fs = findings(&[("crates/lrd/src/gen.rs", foreign)], None);
-        assert!(of_rule(&fs, "unused-waiver").is_empty());
     }
 
     // ---- report rendering -----------------------------------------------
 
     #[test]
     fn report_renders_text_and_json() {
-        let src = "use std::collections::HashMap;\n";
-        let report = analyze_sources(&[("crates/par/src/lib.rs", src)], None, TODAY);
+        let src = "pub fn generate(seed: u64) {}\n";
+        let report = analyze_sources(&[("crates/par/src/lib.rs", src)], None);
         let text = report.render_text();
-        assert!(text.contains("crates/par/src/lib.rs:1: [det-unordered-collection]"));
+        assert!(text.contains("crates/par/src/lib.rs:1: [seed-flow]"));
         assert!(text.contains("svbr-analyze: 1 file(s) scanned"));
         let json = report.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rule\":\"det-unordered-collection\""));
+        assert!(json.contains("\"rule\":\"seed-flow\""));
         assert!(json.contains("\"files_scanned\":1"));
-        let clean = analyze_sources(
-            &[("crates/par/src/lib.rs", "pub fn ok() {}\n")],
-            None,
-            TODAY,
-        );
+        let clean = analyze_sources(&[("crates/par/src/lib.rs", "pub fn ok() {}\n")], None);
         assert!(clean.findings.is_empty());
         assert!(clean.render_json().contains("\"findings\":[]"));
     }

@@ -1,7 +1,7 @@
 //! A minimal Rust source "masker": replaces the interior of comments and
 //! string/char literals with spaces so downstream pattern scans only ever
-//! see real code, and collects comment text separately (for TODO/FIXME
-//! inventory and waiver parsing).
+//! see real code, and collects comment text separately (for waiver
+//! parsing).
 //!
 //! This is deliberately not a full lexer — it only needs to be right about
 //! where comments and literals begin and end, which is a regular-enough

@@ -3,7 +3,7 @@
 //! span-tree profiler built on it.
 //!
 //! ```text
-//! cargo run -p svbr-xtask -- lint [--format text|json] [--todo-budget N]
+//! cargo run -p svbr-xtask -- analyze [--format text|json]
 //! cargo run -p svbr-xtask -- obsv-report <trace.jsonl>
 //! cargo run -p svbr-xtask -- obsv-tail [--once] <trace.jsonl>
 //! cargo run -p svbr-xtask -- obsv-diff <a> <b>
@@ -11,11 +11,12 @@
 //! cargo run -p svbr-xtask -- bench-compare --baseline <old.json> <new.json>
 //! ```
 //!
-//! `lint` walks every `.rs` file in the workspace (skipping `target/`,
-//! `vendor/` and VCS metadata) and enforces the svbr-lint rule set
-//! described in [`rules`], plus the `obsv-deps` manifest check keeping
-//! `crates/obsv` dependency-free. Exits 0 on a clean tree, 1 when any
-//! violation survives its waivers, 2 on usage errors.
+//! `analyze` walks every `.rs` file in the workspace (skipping `target/`,
+//! `vendor/` and VCS metadata) and enforces the repo-specific rule
+//! families clippy cannot express (metric and alert registries, seed flow,
+//! parallel float reductions, hot-loop allocation, panic surface); see
+//! [`analyze`]. Exits 0 on a clean tree, 1 when any finding survives its
+//! waivers, 2 on usage errors.
 //!
 //! `obsv-report` summarizes a JSONL trace captured with
 //! `repro --trace <path>` into per-span timing and per-point field tables,
@@ -41,19 +42,13 @@ mod analyze;
 mod lexer;
 mod model;
 mod obsv;
-mod rules;
 mod trace_report;
 mod waivers;
 
-use rules::{classify, lint_source, FileReport, TodoItem, Violation};
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".claude", "results"];
-
-/// Default TODO/FIXME budget: the inventory is always printed; only counts
-/// beyond this fail the lint.
-const DEFAULT_TODO_BUDGET: usize = 20;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,34 +66,18 @@ fn workspace_root() -> PathBuf {
         .unwrap_or(manifest)
 }
 
-/// Output format for diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
-
 fn run(args: &[String], root: &Path) -> i32 {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
-        Some("lint") => {}
         Some("analyze") => {
-            let mut format = Format::Text;
-            let mut today: Option<String> = None;
+            let mut json = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--format" => match it.next().map(String::as_str) {
-                        Some("text") => format = Format::Text,
-                        Some("json") => format = Format::Json,
+                        Some("text") => json = false,
+                        Some("json") => json = true,
                         other => {
                             eprintln!("--format takes `text` or `json`, got {other:?}\n{USAGE}");
-                            return 2;
-                        }
-                    },
-                    "--today" => match it.next() {
-                        Some(d) if waivers::is_iso_date(d) => today = Some(d.clone()),
-                        _ => {
-                            eprintln!("--today takes a YYYY-MM-DD date\n{USAGE}");
                             return 2;
                         }
                     },
@@ -108,24 +87,21 @@ fn run(args: &[String], root: &Path) -> i32 {
                     }
                 }
             }
-            let report = analyze::analyze_tree(root, &waivers::build_date(today.as_deref()));
-            match format {
-                // svbr-lint: allow(no-print) emitting diagnostics to stdout is this binary's purpose
-                Format::Text => print!("{}", report.render_text()),
-                // svbr-lint: allow(no-print) emitting diagnostics to stdout is this binary's purpose
-                Format::Json => println!("{}", report.render_json()),
+            let report = analyze::analyze_tree(root);
+            if json {
+                println!("{}", report.render_json());
+            } else {
+                print!("{}", report.render_text());
             }
-            return if report.findings.is_empty() { 0 } else { 1 };
+            i32::from(!report.findings.is_empty())
         }
-        Some("obsv-report") => {
-            return match (it.next(), it.next()) {
-                (Some(path), None) => obsv_report(path),
-                _ => {
-                    eprintln!("obsv-report takes exactly one trace path\n{USAGE}");
-                    2
-                }
-            };
-        }
+        Some("obsv-report") => match (it.next(), it.next()) {
+            (Some(path), None) => obsv_report(path),
+            _ => {
+                eprintln!("obsv-report takes exactly one trace path\n{USAGE}");
+                2
+            }
+        },
         Some("obsv-tail") => {
             let mut once = false;
             let mut path: Option<&String> = None;
@@ -143,7 +119,7 @@ fn run(args: &[String], root: &Path) -> i32 {
                 eprintln!("obsv-tail takes a trace path\n{USAGE}");
                 return 2;
             };
-            return obsv::tail(path, once);
+            obsv::tail(path, once)
         }
         Some("trace-report") => {
             let mut json = false;
@@ -169,19 +145,17 @@ fn run(args: &[String], root: &Path) -> i32 {
                 eprintln!("trace-report takes one or more trace paths\n{USAGE}");
                 return 2;
             }
-            return trace_report::report(&paths, json);
+            trace_report::report(&paths, json)
         }
-        Some("obsv-diff") => {
-            return match (it.next(), it.next(), it.next()) {
-                (Some(a), Some(b), None) => obsv::diff(a, b),
-                _ => {
-                    eprintln!(
-                        "obsv-diff takes exactly two paths (JSONL trace or run manifest)\n{USAGE}"
-                    );
-                    2
-                }
-            };
-        }
+        Some("obsv-diff") => match (it.next(), it.next(), it.next()) {
+            (Some(a), Some(b), None) => obsv::diff(a, b),
+            _ => {
+                eprintln!(
+                    "obsv-diff takes exactly two paths (JSONL trace or run manifest)\n{USAGE}"
+                );
+                2
+            }
+        },
         Some("bench-compare") => {
             let mut baseline: Option<&String> = None;
             let mut threshold = DEFAULT_BENCH_THRESHOLD;
@@ -213,71 +187,21 @@ fn run(args: &[String], root: &Path) -> i32 {
                 eprintln!("bench-compare needs --baseline <old.json> and <current.json>\n{USAGE}");
                 return 2;
             };
-            return bench_compare(baseline, current, threshold);
+            bench_compare(baseline, current, threshold)
         }
         Some(other) => {
             eprintln!("unknown task `{other}`\n{USAGE}");
-            return 2;
+            2
         }
         None => {
             eprintln!("{USAGE}");
-            return 2;
+            2
         }
-    }
-    let mut format = Format::Text;
-    let mut todo_budget = DEFAULT_TODO_BUDGET;
-    let mut today: Option<String> = None;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                other => {
-                    eprintln!("--format takes `text` or `json`, got {other:?}\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--todo-budget" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => todo_budget = n,
-                None => {
-                    eprintln!("--todo-budget takes an integer\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--today" => match it.next() {
-                Some(d) if waivers::is_iso_date(d) => today = Some(d.clone()),
-                _ => {
-                    eprintln!("--today takes a YYYY-MM-DD date\n{USAGE}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-
-    let report = lint_tree(root, todo_budget, &waivers::build_date(today.as_deref()));
-    match format {
-        // svbr-lint: allow(no-print) emitting diagnostics to stdout is this binary's purpose
-        Format::Text => print!("{}", report.render_text()),
-        // svbr-lint: allow(no-print) emitting diagnostics to stdout is this binary's purpose
-        Format::Json => println!("{}", report.render_json()),
-    }
-    if report.violations.is_empty() {
-        0
-    } else {
-        1
     }
 }
-
 const USAGE: &str = "\
 usage: cargo run -p svbr-xtask -- <task>
-  lint [--format text|json] [--todo-budget N] [--today YYYY-MM-DD]
-                                                enforce the svbr-lint rules
-  analyze [--format text|json] [--today YYYY-MM-DD]
-                                                cross-file determinism / numeric-safety audit
+  analyze [--format text|json]                  cross-file determinism / numeric-safety audit
   obsv-report <trace.jsonl>                     summarize an obsv trace
   obsv-tail [--once] <trace.jsonl>              render the latest flight-recorder window
                                                 (follows the file unless --once)
@@ -578,65 +502,6 @@ fn bench_compare(baseline_path: &str, current_path: &str, threshold: f64) -> i32
     }
 }
 
-/// Aggregated result over the whole tree.
-#[derive(Debug, Default)]
-struct TreeReport {
-    violations: Vec<Violation>,
-    todos: Vec<TodoItem>,
-    files_scanned: usize,
-    todo_budget: usize,
-}
-
-fn lint_tree(root: &Path, todo_budget: usize, today: &str) -> TreeReport {
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files);
-    files.sort();
-
-    let mut tree = TreeReport {
-        todo_budget,
-        ..TreeReport::default()
-    };
-    for path in files {
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let FileReport { violations, todos } = lint_source(&rel, &src, classify(&rel), today);
-        tree.violations.extend(violations);
-        tree.todos.extend(todos);
-        tree.files_scanned += 1;
-    }
-    // The obsv crate must stay dependency-free: lint its manifest too.
-    let obsv_manifest = root.join("crates/obsv/Cargo.toml");
-    if let Ok(src) = std::fs::read_to_string(&obsv_manifest) {
-        tree.violations.extend(rules::lint_obsv_manifest(
-            "crates/obsv/Cargo.toml",
-            &src,
-            today,
-        ));
-    }
-    if tree.todos.len() > todo_budget {
-        tree.violations.push(Violation {
-            file: String::new(),
-            line: 0,
-            rule: rules::Rule::TodoBudget,
-            message: format!(
-                "{} TODO/FIXME comments exceed the budget of {todo_budget}; \
-                 resolve some or raise --todo-budget deliberately",
-                tree.todos.len()
-            ),
-        });
-    }
-    // Deterministic ordering: by file, then line, then rule id.
-    tree.violations
-        .sort_by(|a, b| (&a.file, a.line, a.rule.id()).cmp(&(&b.file, b.line, b.rule.id())));
-    tree
-}
-
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -652,75 +517,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
         } else if name.ends_with(".rs") {
             out.push(path);
         }
-    }
-}
-
-impl TreeReport {
-    fn render_text(&self) -> String {
-        let mut s = String::new();
-        for v in &self.violations {
-            if v.line == 0 {
-                s.push_str(&format!("[{}] {}\n", v.rule.id(), v.message));
-            } else {
-                s.push_str(&format!(
-                    "{}:{}: [{}] {}\n",
-                    v.file,
-                    v.line,
-                    v.rule.id(),
-                    v.message
-                ));
-            }
-        }
-        if !self.todos.is_empty() {
-            s.push_str(&format!(
-                "-- TODO/FIXME inventory ({} of budget {}) --\n",
-                self.todos.len(),
-                self.todo_budget
-            ));
-            for t in &self.todos {
-                s.push_str(&format!("{}:{}: {}\n", t.file, t.line, t.text));
-            }
-        }
-        s.push_str(&format!(
-            "svbr-lint: {} file(s) scanned, {} violation(s), {} TODO/FIXME\n",
-            self.files_scanned,
-            self.violations.len(),
-            self.todos.len()
-        ));
-        s
-    }
-
-    fn render_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
-        s.push_str(&format!("\"todo_budget\":{},", self.todo_budget));
-        s.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(&v.file),
-                v.line,
-                v.rule.id(),
-                json_escape(&v.message)
-            ));
-        }
-        s.push_str("],\"todos\":[");
-        for (i, t) in self.todos.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"file\":\"{}\",\"line\":{},\"text\":\"{}\"}}",
-                json_escape(&t.file),
-                t.line,
-                json_escape(&t.text)
-            ));
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -758,149 +554,6 @@ mod tests {
             std::fs::write(&path, content).expect("write fixture");
         }
         base
-    }
-
-    #[test]
-    fn clean_tree_exits_zero() {
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "pub fn ok(x: Option<u8>) -> Option<u8> { x }\n",
-        )]);
-        let code = run(&["lint".into()], &root);
-        assert_eq!(code, 0);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn seeded_violations_exit_nonzero_per_rule() {
-        let fixtures: &[(&str, &str)] = &[
-            ("unwrap", "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n"),
-            (
-                "expect",
-                "pub fn f(x: Option<u8>) -> u8 { x.expect(\"e\") }\n",
-            ),
-            ("floateq", "pub fn f(x: f64) -> bool { x == 1.0 }\n"),
-            ("rng", "pub fn f() { let _r = rand::thread_rng(); }\n"),
-            ("print", "pub fn f() { println!(\"x\"); }\n"),
-        ];
-        for (name, src) in fixtures {
-            let root = tmp_tree(&[("crates/demo/src/lib.rs", src)]);
-            let code = run(&["lint".into()], &root);
-            assert_eq!(code, 1, "fixture `{name}` should fail the lint");
-            std::fs::remove_dir_all(&root).ok();
-        }
-    }
-
-    #[test]
-    fn todo_budget_overflow_fails() {
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "// TODO one\n// TODO two\npub fn ok() {}\n",
-        )]);
-        let report = lint_tree(&root, 1, "2026-08-09");
-        assert_eq!(report.todos.len(), 2);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, rules::Rule::TodoBudget);
-        // Within budget: inventory only, no violation.
-        let report = lint_tree(&root, 5, "2026-08-09");
-        assert!(report.violations.is_empty());
-        assert_eq!(report.todos.len(), 2);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn vendor_and_target_are_skipped() {
-        let root = tmp_tree(&[
-            (
-                "vendor/fake/src/lib.rs",
-                "pub fn f() { None::<u8>.unwrap(); }\n",
-            ),
-            (
-                "target/debug/gen.rs",
-                "pub fn f() { None::<u8>.unwrap(); }\n",
-            ),
-            ("crates/demo/src/lib.rs", "pub fn ok() {}\n"),
-        ]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        assert!(report.violations.is_empty());
-        assert_eq!(report.files_scanned, 1);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn json_output_is_wellformed_and_complete() {
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "// TODO tidy \"quotes\"\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        let json = report.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rule\":\"no-unwrap\""));
-        assert!(json.contains("\"file\":\"crates/demo/src/lib.rs\""));
-        assert!(json.contains("\"line\":2"));
-        // The quote inside the TODO text must be escaped.
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"files_scanned\":1"));
-        // Balanced quotes: an unescaped count must be even.
-        let unescaped_quotes = json
-            .as_bytes()
-            .windows(2)
-            .filter(|w| w[1] == b'"' && w[0] != b'\\')
-            .count()
-            + usize::from(json.starts_with('"'));
-        assert_eq!(unescaped_quotes % 2, 0);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn obsv_manifest_with_dependency_fails_lint() {
-        let root = tmp_tree(&[
-            (
-                "crates/obsv/Cargo.toml",
-                "[package]\nname = \"svbr-obsv\"\n\n[dependencies]\nserde = \"1\"\n",
-            ),
-            ("crates/obsv/src/lib.rs", "pub fn ok() {}\n"),
-        ]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, rules::Rule::ObsvDeps);
-        assert_eq!(report.violations[0].file, "crates/obsv/Cargo.toml");
-        assert_eq!(run(&["lint".into()], &root), 1);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn clean_obsv_crate_passes_and_panic_fires() {
-        let root = tmp_tree(&[
-            (
-                "crates/obsv/Cargo.toml",
-                "[package]\nname = \"svbr-obsv\"\n\n[lints]\nworkspace = true\n",
-            ),
-            ("crates/obsv/src/lib.rs", "pub fn ok() {}\n"),
-        ]);
-        assert_eq!(run(&["lint".into()], &root), 0);
-        std::fs::remove_dir_all(&root).ok();
-
-        // panic! inside the obsv source tree is a violation…
-        let root = tmp_tree(&[(
-            "crates/obsv/src/lib.rs",
-            "pub fn f() {\n    panic!(\"no\");\n}\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, rules::Rule::ObsvPanic);
-        std::fs::remove_dir_all(&root).ok();
-
-        // …and the generic library rules still apply there too.
-        let root = tmp_tree(&[(
-            "crates/obsv/src/lib.rs",
-            "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, rules::Rule::NoUnwrap);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -1335,15 +988,6 @@ mod tests {
             run(&["bench-compare".into(), "--baseline".into()], &root),
             2
         );
-        assert_eq!(
-            run(&["lint".into(), "--format".into(), "xml".into()], &root),
-            2
-        );
-        assert_eq!(
-            run(&["lint".into(), "--todo-budget".into(), "x".into()], &root),
-            2
-        );
-        assert_eq!(run(&["lint".into(), "--bogus".into()], &root), 2);
     }
 
     #[test]
@@ -1353,20 +997,27 @@ mod tests {
         assert_eq!(run(&["analyze".into()], &root), 0);
         std::fs::remove_dir_all(&root).ok();
 
-        // An unordered collection in a bit-identity crate exits 1, and the
-        // JSON rendering carries the finding.
-        let root = tmp_tree(&[(
-            "crates/par/src/lib.rs",
-            "use std::collections::HashMap;\npub fn f(m: &HashMap<u8, u8>) -> usize { m.len() }\n",
-        )]);
+        // A dead seed parameter exits 1, and the JSON rendering carries
+        // the finding.
+        let root = tmp_tree(&[("crates/par/src/lib.rs", "pub fn f(seed: u64) {}\n")]);
         assert_eq!(run(&["analyze".into()], &root), 1);
         assert_eq!(
             run(&["analyze".into(), "--format".into(), "json".into()], &root),
             1
         );
-        let report = analyze::analyze_tree(&root, "2026-08-09");
-        let json = report.render_json();
-        assert!(json.contains("\"rule\":\"det-unordered-collection\""));
+        let json = analyze::analyze_tree(&root).render_json();
+        assert!(json.contains("\"rule\":\"seed-flow\""));
+        std::fs::remove_dir_all(&root).ok();
+
+        // vendor/ and target/ are never descended into.
+        let root = tmp_tree(&[
+            ("vendor/fake/src/lib.rs", "pub fn f(seed: u64) {}\n"),
+            ("target/debug/gen.rs", "pub fn f(seed: u64) {}\n"),
+            ("crates/par/src/lib.rs", "pub fn ok() {}\n"),
+        ]);
+        let report = analyze::analyze_tree(&root);
+        assert!(report.findings.is_empty());
+        assert_eq!(report.files_scanned, 1);
         std::fs::remove_dir_all(&root).ok();
 
         // Usage errors exit 2.
@@ -1375,77 +1026,6 @@ mod tests {
             run(&["analyze".into(), "--format".into(), "xml".into()], &root),
             2
         );
-        assert_eq!(
-            run(&["analyze".into(), "--today".into(), "soon".into()], &root),
-            2
-        );
         assert_eq!(run(&["analyze".into(), "--bogus".into()], &root), 2);
-    }
-
-    #[test]
-    fn analyze_cli_respects_today_for_expiry() {
-        let src = "\
-pub fn acf(w: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for i in 1..w.len() {
-        // svbr-analyze: allow(panic-surface) expires = \"2027-01-01\" i >= 1
-        acc += w[i - 1];
-    }
-    acc
-}
-";
-        let root = tmp_tree(&[("crates/lrd/src/acf.rs", src)]);
-        // Before expiry the waiver holds…
-        assert_eq!(
-            run(
-                &["analyze".into(), "--today".into(), "2026-08-09".into()],
-                &root
-            ),
-            0
-        );
-        // …after expiry the finding and the expired waiver both surface.
-        assert_eq!(
-            run(
-                &["analyze".into(), "--today".into(), "2027-06-01".into()],
-                &root
-            ),
-            1
-        );
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn lint_cli_reports_unused_and_expired_waivers() {
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "// svbr-lint: allow(no-unwrap) nothing here unwraps\npub fn ok() {}\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, rules::Rule::UnusedWaiver);
-        assert_eq!(run(&["lint".into()], &root), 1);
-        std::fs::remove_dir_all(&root).ok();
-
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "pub fn f(x: Option<u8>) -> u8 {\n    // svbr-lint: allow(no-unwrap) expires = \"2026-01-01\" tmp\n    x.unwrap()\n}\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        let rules_fired: Vec<&str> = report.violations.iter().map(|v| v.rule.id()).collect();
-        assert!(rules_fired.contains(&"no-unwrap"), "{rules_fired:?}");
-        assert!(rules_fired.contains(&"waiver-expired"), "{rules_fired:?}");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn text_output_has_file_line_rule() {
-        let root = tmp_tree(&[(
-            "crates/demo/src/lib.rs",
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        )]);
-        let report = lint_tree(&root, 20, "2026-08-09");
-        let text = report.render_text();
-        assert!(text.contains("crates/demo/src/lib.rs:1: [no-unwrap]"));
-        std::fs::remove_dir_all(&root).ok();
     }
 }

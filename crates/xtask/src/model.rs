@@ -6,10 +6,7 @@
 //! deliberately stops far short of a real parser — it extracts exactly the
 //! facts the cross-file rule families need:
 //!
-//! * which local names denote **unordered collections** (`HashMap`/`HashSet`,
-//!   their `use … as` aliases, and `type` aliases over them), and which
-//!   idents (lets, fields, params) are bound to such a type;
-//! * every `fn` signature: name, `pub`-ness, parameter names/types, and the
+//! * every `fn` signature: name, `pub`-ness, parameter names, and the
 //!   byte span of the body (for the seed-flow audit);
 //! * every `svbr_obsv::counter/gauge/histogram[_with]("…")` registration
 //!   with its metric name — and any inline label keys — read back from the
@@ -19,10 +16,29 @@
 //!   panic-surface audit).
 
 use crate::lexer::{mask_source, test_scopes, Masked};
-use crate::rules::{classify, FileClass};
 
-/// The standard-library unordered collections every alias chain roots in.
-pub const UNORDERED_BASES: &[&str] = &["HashMap", "HashSet"];
+/// How strictly a file is analyzed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileClass {
+    /// `crates/*/src/**` and `src/**` (excluding `src/bin/**`): the code
+    /// `cargo clippy --workspace --lib` builds.
+    Library,
+    /// Examples, tests, benches, binaries.
+    Support,
+}
+
+/// Classify a workspace-relative path (forward slashes).
+pub fn classify(rel_path: &str) -> FileClass {
+    let is_crate_src = rel_path.starts_with("crates/")
+        && rel_path.contains("/src/")
+        && !rel_path.contains("/src/bin/");
+    let is_root_src = rel_path.starts_with("src/") && !rel_path.starts_with("src/bin/");
+    if is_crate_src || is_root_src {
+        FileClass::Library
+    } else {
+        FileClass::Support
+    }
+}
 
 /// Kind of an `svbr_obsv` metric registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,15 +80,6 @@ pub struct MetricUse {
     pub in_test: bool,
 }
 
-/// One `name: type` function parameter.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Parameter name (patterns and `self` receivers are skipped).
-    pub name: String,
-    /// Parameter type text, trimmed.
-    pub ty: String,
-}
-
 /// One function signature with its body span.
 #[derive(Debug, Clone)]
 pub struct FnSig {
@@ -82,8 +89,9 @@ pub struct FnSig {
     pub line: usize,
     /// Whether the signature line carries `pub` (any visibility form).
     pub is_pub: bool,
-    /// Named parameters, in order.
-    pub params: Vec<Param>,
+    /// Named parameters, in order (patterns and `self` receivers are
+    /// skipped).
+    pub params: Vec<String>,
     /// Byte span of the body in the masked code (between `{` and its
     /// matching `}`), or `None` for trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -97,16 +105,12 @@ pub struct FileModel {
     /// Crate directory name (`lrd` for `crates/lrd/…`, `svbr` for `src/…`,
     /// empty for top-level support files).
     pub crate_name: String,
-    /// Library vs. support classification (shared with lint).
+    /// Library vs. support classification.
     pub class: FileClass,
     /// Masked source + extracted comments.
     pub masked: Masked,
     /// `#[cfg(test)]` line ranges.
     pub scopes: Vec<(usize, usize)>,
-    /// Type names that denote unordered collections in this file.
-    pub unordered_types: Vec<String>,
-    /// Idents (lets, fields, params) bound to an unordered collection type.
-    pub unordered_idents: Vec<String>,
     /// Every function signature found.
     pub fns: Vec<FnSig>,
     /// Every metric registration found.
@@ -120,16 +124,7 @@ impl FileModel {
     pub fn build(rel_path: &str, src: &str) -> FileModel {
         let masked = mask_source(src);
         let scopes = test_scopes(&masked.code);
-        let unordered_types = collect_unordered_types(&masked.code);
-        let mut unordered_idents = collect_unordered_idents(&masked.code, &unordered_types);
         let fns = parse_fns(&masked.code);
-        for f in &fns {
-            for p in &f.params {
-                if unordered_types.iter().any(|ty| has_token(&p.ty, ty)) {
-                    push_unique(&mut unordered_idents, p.name.clone());
-                }
-            }
-        }
         let crate_name = crate_of(rel_path);
         let metrics = extract_metrics(&masked.code, src, &scopes, &crate_name);
         let loop_lines = compute_loop_lines(&masked.code);
@@ -139,8 +134,6 @@ impl FileModel {
             class: classify(rel_path),
             masked,
             scopes,
-            unordered_types,
-            unordered_idents,
             fns,
             metrics,
             loop_lines,
@@ -205,99 +198,6 @@ pub fn line_of(text: &str, pos: usize) -> usize {
         .iter()
         .filter(|&&b| b == b'\n')
         .count()
-}
-
-fn push_unique(set: &mut Vec<String>, name: String) {
-    if !name.is_empty() && !set.contains(&name) {
-        set.push(name);
-    }
-}
-
-/// Type names denoting unordered collections: the std names plus
-/// `use … as` aliases and `type` aliases whose right-hand side mentions one.
-fn collect_unordered_types(code: &str) -> Vec<String> {
-    let mut types: Vec<String> = UNORDERED_BASES.iter().map(|s| s.to_string()).collect();
-    for line in code.lines() {
-        let t = line.trim_start();
-        if t.starts_with("use ") || t.starts_with("pub use ") || t.starts_with("pub(crate) use ") {
-            for base in UNORDERED_BASES {
-                let mut from = 0;
-                while let Some(at) = find_token_from(line, base, from) {
-                    from = at + base.len();
-                    let rest = line[from..].trim_start();
-                    if let Some(r) = rest.strip_prefix("as ") {
-                        let alias: String = r
-                            .trim_start()
-                            .chars()
-                            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                            .collect();
-                        push_unique(&mut types, alias);
-                    }
-                }
-            }
-        }
-        let alias_decl = t
-            .strip_prefix("pub(crate) type ")
-            .or_else(|| t.strip_prefix("pub type "))
-            .or_else(|| t.strip_prefix("type "));
-        if let Some(rest) = alias_decl {
-            if let Some(eq) = rest.find('=') {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                let rhs = &rest[eq + 1..];
-                if types.iter().any(|ty| has_token(rhs, ty)) {
-                    push_unique(&mut types, name);
-                }
-            }
-        }
-    }
-    types
-}
-
-/// Idents bound to an unordered collection type: `let` bindings whose type
-/// annotation or initializer mentions one, and `name: Type` declarations
-/// (struct fields, one-per-line params) whose type does.
-fn collect_unordered_idents(code: &str, types: &[String]) -> Vec<String> {
-    let is_unordered = |text: &str| types.iter().any(|ty| has_token(text, ty));
-    let mut idents = Vec::new();
-    for line in code.lines() {
-        let t = line.trim_start();
-        if let Some(rest) = t.strip_prefix("let ") {
-            let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && is_unordered(&rest[name.len()..]) {
-                push_unique(&mut idents, name);
-            }
-            continue;
-        }
-        // Field-style declaration: `[pub[(…)]] name: … Unordered< …`,
-        // which also covers struct-literal field inits (`name: Map::new()`).
-        let decl = t
-            .strip_prefix("pub(crate) ")
-            .or_else(|| t.strip_prefix("pub(super) "))
-            .or_else(|| t.strip_prefix("pub "))
-            .unwrap_or(t);
-        let name: String = decl
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if name.is_empty() || name == "let" || name == "use" || name == "type" || name == "fn" {
-            continue;
-        }
-        let rest = &decl[name.len()..];
-        if rest.trim_start().starts_with(':')
-            && !rest.trim_start().starts_with("::")
-            && is_unordered(rest)
-        {
-            push_unique(&mut idents, name);
-        }
-    }
-    idents
 }
 
 /// Which 1-based lines sit inside a `for … in`/`while`/`loop` body.
@@ -486,9 +386,9 @@ fn parse_fns(code: &str) -> Vec<FnSig> {
     out
 }
 
-/// Split a parameter list on top-level commas into `name: type` pairs;
+/// Split a parameter list on top-level commas into parameter names;
 /// `self` receivers and pattern parameters are skipped.
-fn split_params(text: &str) -> Vec<Param> {
+fn split_params(text: &str) -> Vec<String> {
     let bytes = text.as_bytes();
     let mut parts = Vec::new();
     let mut depth = 0i32;
@@ -517,10 +417,7 @@ fn split_params(text: &str) -> Vec<Param> {
         if name.is_empty() || !name.bytes().all(is_ident_byte) {
             continue; // pattern parameter or lifetime-only oddity
         }
-        out.push(Param {
-            name: name.to_string(),
-            ty: p[colon + 1..].trim().to_string(),
-        });
+        out.push(name.to_string());
     }
     out
 }
@@ -662,37 +559,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tracks_unordered_aliases_and_idents() {
-        let src = "\
-use std::collections::{BTreeMap, HashMap};
-use std::collections::HashSet as Seen;
-type Index = HashMap<String, usize>;
-pub struct S {
-    pub index: Index,
-    names: HashSet<String>,
-    ordered: BTreeMap<u32, u32>,
-}
-pub fn f() {
-    let mut local: HashMap<u8, u8> = HashMap::new();
-    let seen = Seen::new();
-    let sorted = BTreeMap::new();
-    local.insert(1, 2);
-    let _ = (seen, sorted);
-}
-";
-        let m = FileModel::build("crates/par/src/lib.rs", src);
-        for ty in ["HashMap", "HashSet", "Seen", "Index"] {
-            assert!(m.unordered_types.iter().any(|t| t == ty), "type {ty}");
-        }
-        assert!(!m.unordered_types.iter().any(|t| t == "BTreeMap"));
-        for id in ["index", "names", "local", "seen"] {
-            assert!(m.unordered_idents.iter().any(|t| t == id), "ident {id}");
-        }
-        assert!(!m.unordered_idents.iter().any(|t| t == "ordered"));
-        assert!(!m.unordered_idents.iter().any(|t| t == "sorted"));
-    }
-
-    #[test]
     fn parses_fn_signatures_and_bodies() {
         let src = "\
 pub fn seeded(master_seed: u64, n: usize) -> Vec<f64> {
@@ -716,9 +582,7 @@ trait T {
         let seeded = &m.fns[0];
         assert!(seeded.is_pub);
         assert_eq!(seeded.line, 1);
-        assert_eq!(seeded.params.len(), 2);
-        assert_eq!(seeded.params[0].name, "master_seed");
-        assert_eq!(seeded.params[0].ty, "u64");
+        assert_eq!(seeded.params, vec!["master_seed", "n"]);
         let (b0, b1) = seeded.body.expect("body");
         assert!(m.masked.code[b0..b1].contains("seed_from_u64"));
         assert!(!m.fns[1].is_pub);
@@ -727,8 +591,7 @@ trait T {
         assert!(m.fns[2].is_pub);
         // Trait declaration: no body, but the seed param is visible.
         assert!(m.fns[3].body.is_none());
-        assert_eq!(m.fns[3].params.len(), 1);
-        assert_eq!(m.fns[3].params[0].name, "seed");
+        assert_eq!(m.fns[3].params, vec!["seed"]);
     }
 
     #[test]
@@ -831,8 +694,22 @@ pub fn install() {
         assert_eq!(crate_of("crates/lrd/src/cache.rs"), "lrd");
         assert_eq!(crate_of("src/lib.rs"), "svbr");
         assert_eq!(crate_of("examples/demo.rs"), "");
-        assert!(has_token("use std::collections::HashMap;", "HashMap"));
-        assert!(!has_token("MyHashMapLike", "HashMap"));
-        assert!(!has_token("HashMapx", "HashMap"));
+        assert!(has_token("use std::collections::BTreeMap;", "BTreeMap"));
+        assert!(!has_token("MyBTreeMapLike", "BTreeMap"));
+        assert!(!has_token("BTreeMapx", "BTreeMap"));
+    }
+
+    #[test]
+    fn classify_paths() {
+        assert_eq!(classify("crates/lrd/src/hosking.rs"), FileClass::Library);
+        assert_eq!(classify("src/lib.rs"), FileClass::Library);
+        assert_eq!(
+            classify("crates/bench/src/bin/repro.rs"),
+            FileClass::Support
+        );
+        assert_eq!(classify("src/bin/main.rs"), FileClass::Support);
+        assert_eq!(classify("examples/demo.rs"), FileClass::Support);
+        assert_eq!(classify("tests/e2e.rs"), FileClass::Support);
+        assert_eq!(classify("crates/lrd/benches/b.rs"), FileClass::Support);
     }
 }

@@ -1,74 +1,56 @@
-//! Waiver comments shared by `lint` and `analyze`.
+//! `analyze` waiver comments.
 //!
 //! A waiver is a comment of the form
 //!
 //! ```text
-//! // svbr-lint: allow(rule-a, rule-b) [expires = "YYYY-MM-DD"] <invariant>
-//! // svbr-analyze: allow(rule-c) expires = "2027-01-01" <invariant>
+//! // svbr-analyze: allow(rule-a, rule-b) <invariant>
 //! ```
 //!
-//! The two markers are interchangeable — a waiver suppresses any listed
-//! rule on its own line or the line below, whichever pass owns the rule.
-//! The trailing text must state the invariant that makes the flagged
-//! pattern sound.
+//! It suppresses any listed rule on its own line or the line below. The
+//! trailing text must state the invariant that makes the flagged pattern
+//! sound.
 //!
-//! Two audits close the loop on waiver rot:
-//!
-//! * **expiry** — a waiver carrying `expires = "YYYY-MM-DD"` stops
-//!   suppressing on that date (compared against the build date, or the
-//!   `--today`/`SVBR_TODAY` override) and additionally reports itself, so
-//!   a temporary exemption cannot quietly become permanent;
-//! * **unused** — after a pass runs, every collected waiver that names a
-//!   rule of that pass but suppressed nothing is reported: the code it
-//!   excused has moved or been fixed, and the stale waiver would
-//!   otherwise silently excuse the *next* violation near it.
+//! After a pass runs, every waiver that names an `analyze` rule but
+//! suppressed nothing is reported as `unused-waiver`: the code it excused
+//! has moved or been fixed, and the stale waiver would otherwise silently
+//! excuse the *next* violation near it.
 //!
 //! Waivers are collected from comments only (the masking lexer strips
 //! string literals), so fixture sources embedded in test strings never
-//! register as workspace waivers. Rule IDs that belong to neither pass —
+//! register as workspace waivers. Rule IDs that `analyze` does not own —
 //! e.g. the `<id>` placeholders in documentation — are ignored.
 
 use crate::lexer::Comment;
 
 /// One parsed waiver comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Waiver {
     /// 1-based line of the waiver comment.
     pub line: usize,
     /// Rule IDs listed inside `allow(…)`.
     pub ids: Vec<String>,
-    /// Expiry date as an ISO `YYYY-MM-DD` string, if declared.
-    pub expires: Option<String>,
-    /// The stated invariant: the free text after `allow(…)` (and after the
-    /// `expires = "…"` clause, when present). Rules that demand a specific
-    /// kind of justification — e.g. `no-unbounded-channel` requires a
-    /// capacity invariant — inspect this.
+    /// The stated invariant: the free text after `allow(…)`. Rules that
+    /// demand a specific kind of justification — e.g. `alloc-in-hot-loop`
+    /// requires a capacity or one-time invariant — inspect this.
     pub reason: String,
 }
 
 /// Parse every waiver out of a file's comments.
 pub fn collect_waivers(comments: &[Comment]) -> Vec<Waiver> {
-    let mut out = Vec::new();
-    for c in comments {
-        // A multi-line block comment could carry a waiver on an inner
-        // line; attribute it to the comment's first line (violations next
-        // to block-comment waivers are rare enough that this is fine).
-        if let Some(w) = parse_waiver_line(&c.text, c.line) {
-            out.push(w);
-        }
-    }
-    out
+    // A multi-line block comment could carry a waiver on an inner line;
+    // attribute it to the comment's first line (violations next to
+    // block-comment waivers are rare enough that this is fine).
+    comments
+        .iter()
+        .filter_map(|c| parse_waiver_line(&c.text, c.line))
+        .collect()
 }
 
-/// Parse one comment text (or raw manifest line) as a waiver.
-pub fn parse_waiver_line(text: &str, line: usize) -> Option<Waiver> {
-    let marker_at = ["svbr-lint:", "svbr-analyze:"]
-        .iter()
-        .filter_map(|m| text.find(m).map(|p| p + m.len()))
-        .min()?;
-    let rest = &text[marker_at..];
-    let open = rest.find("allow(")?;
-    let rest = &rest[open + "allow(".len()..];
+/// Parse one comment text as a waiver.
+fn parse_waiver_line(text: &str, line: usize) -> Option<Waiver> {
+    const MARKER: &str = "svbr-analyze:";
+    let rest = &text[text.find(MARKER)? + MARKER.len()..];
+    let rest = &rest[rest.find("allow(")? + "allow(".len()..];
     let close = rest.find(')')?;
     let ids: Vec<String> = rest[..close]
         .split(',')
@@ -78,136 +60,37 @@ pub fn parse_waiver_line(text: &str, line: usize) -> Option<Waiver> {
     if ids.is_empty() {
         return None;
     }
-    let tail = &rest[close + 1..];
     Some(Waiver {
         line,
         ids,
-        expires: parse_expires(tail),
-        reason: reason_text(tail),
+        reason: rest[close + 1..].trim().to_string(),
     })
 }
 
-/// The invariant text after `allow(…)`, with the `expires = "…"` clause
-/// (if any) stripped. A malformed expiry clause is left in place — it
-/// already surfaces through the `0000-00-00` sentinel.
-fn reason_text(tail: &str) -> String {
-    let after_expiry = tail.find("expires").and_then(|at| {
-        let rest = &tail[at..];
-        let q1 = rest.find('"')?;
-        let q2 = rest[q1 + 1..].find('"')?;
-        Some(&rest[q1 + 1 + q2 + 1..])
-    });
-    after_expiry.unwrap_or(tail).trim().to_string()
-}
-
-/// Extract `expires = "YYYY-MM-DD"` from the text after `allow(…)`.
-fn parse_expires(tail: &str) -> Option<String> {
-    let at = tail.find("expires")?;
-    let rest = tail[at + "expires".len()..].trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    let date = &rest[..end];
-    if is_iso_date(date) {
-        Some(date.to_string())
-    } else {
-        // A malformed date must not silently disable expiry; treat it as
-        // already expired so the waiver surfaces immediately.
-        Some(String::from("0000-00-00"))
-    }
-}
-
-/// Strict `YYYY-MM-DD` shape check (lexicographic order == date order).
-pub fn is_iso_date(s: &str) -> bool {
-    let b = s.as_bytes();
-    b.len() == 10
-        && b[4] == b'-'
-        && b[7] == b'-'
-        && b.iter().enumerate().all(|(i, &c)| {
-            if i == 4 || i == 7 {
-                c == b'-'
-            } else {
-                c.is_ascii_digit()
-            }
-        })
-}
-
-/// The build date as `YYYY-MM-DD`: the `override_date` argument (from
-/// `--today`) wins, then the `SVBR_TODAY` env var, then the system clock.
-pub fn build_date(override_date: Option<&str>) -> String {
-    if let Some(d) = override_date {
-        return d.to_string();
-    }
-    if let Ok(d) = std::env::var("SVBR_TODAY") {
-        if is_iso_date(&d) {
-            return d;
-        }
-    }
-    let days = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() / 86_400)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(days as i64);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Days-since-1970-01-01 to a proleptic Gregorian (year, month, day)
-/// (Howard Hinnant's `civil_from_days` algorithm).
-pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097); // [0, 146096]
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365; // [0, 399]
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // [0, 365]
-    let mp = (5 * doy + 2) / 153; // [0, 11]
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32; // [1, 31]
-    let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u32; // [1, 12]
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// Per-file waiver book-keeping for one pass: answers "is this violation
-/// waived?" while recording which waivers earned their keep.
+/// Per-file waiver book-keeping: answers "is this finding waived?" while
+/// recording which waivers earned their keep.
 #[derive(Debug)]
 pub struct WaiverBook {
     waivers: Vec<Waiver>,
     used: Vec<bool>,
-    today: String,
 }
 
 impl WaiverBook {
     /// Build the book for one file from its parsed waivers.
-    pub fn new(waivers: Vec<Waiver>, today: &str) -> Self {
+    pub fn new(waivers: Vec<Waiver>) -> Self {
         let used = vec![false; waivers.len()];
-        Self {
-            waivers,
-            used,
-            today: today.to_string(),
-        }
+        Self { waivers, used }
     }
 
-    /// Is the waiver at index `i` expired as of the build date?
-    fn expired(&self, i: usize) -> bool {
-        self.waivers[i]
-            .expires
-            .as_deref()
-            .is_some_and(|d| d <= self.today.as_str())
-    }
-
-    /// Would a violation of `rule_id` on `line` be suppressed? An
-    /// un-expired waiver naming the rule on the same line or the line
-    /// above suppresses (and is marked used). An *expired* waiver does
-    /// not suppress, but still counts as used so it is reported once (as
-    /// expired) rather than twice (expired + unused).
+    /// Would a finding of `rule_id` on `line` be suppressed? A waiver
+    /// naming the rule on the same line or the line above suppresses (and
+    /// is marked used).
     pub fn suppresses(&mut self, line: usize, rule_id: &str) -> bool {
         let mut hit = false;
-        for i in 0..self.waivers.len() {
-            let w = &self.waivers[i];
-            if (w.line == line || w.line + 1 == line) && w.ids.iter().any(|id| id == rule_id) {
-                self.used[i] = true;
-                if !self.expired(i) {
-                    hit = true;
-                }
+        for (w, used) in self.waivers.iter().zip(self.used.iter_mut()) {
+            if covers(w, line, rule_id) {
+                *used = true;
+                hit = true;
             }
         }
         hit
@@ -220,23 +103,25 @@ impl WaiverBook {
     pub fn reason_at(&self, line: usize, rule_id: &str) -> Option<&str> {
         self.waivers
             .iter()
-            .find(|w| {
-                (w.line == line || w.line + 1 == line) && w.ids.iter().any(|id| id == rule_id)
-            })
+            .find(|w| covers(w, line, rule_id))
             .map(|w| w.reason.as_str())
     }
 
-    /// Audit results for this file: `(waiver, expired, used)` per waiver
-    /// that names at least one rule in `own_rules` (each pass audits only
-    /// the waivers it owns; foreign and placeholder IDs are skipped).
-    pub fn audit(&self, own_rules: &[&str]) -> Vec<(Waiver, bool, bool)> {
+    /// Waivers naming at least one rule in `own_rules` that suppressed
+    /// nothing (foreign and placeholder IDs are skipped).
+    pub fn unused(&self, own_rules: &[&str]) -> Vec<&Waiver> {
         self.waivers
             .iter()
-            .enumerate()
-            .filter(|(_, w)| w.ids.iter().any(|id| own_rules.contains(&id.as_str())))
-            .map(|(i, w)| (w.clone(), self.expired(i), self.used[i]))
+            .zip(&self.used)
+            .filter(|(w, used)| !**used && w.ids.iter().any(|id| own_rules.contains(&id.as_str())))
+            .map(|(w, _)| w)
             .collect()
     }
+}
+
+/// Does waiver `w` cover a `rule_id` finding on `line`?
+fn covers(w: &Waiver, line: usize, rule_id: &str) -> bool {
+    (w.line == line || w.line + 1 == line) && w.ids.iter().any(|id| id == rule_id)
 }
 
 #[cfg(test)]
@@ -251,104 +136,46 @@ mod tests {
     }
 
     #[test]
-    fn parses_ids_and_expiry() {
+    fn parses_ids_and_reason() {
         let w = parse_waiver_line(
-            "// svbr-lint: allow(no-unwrap, float-eq) expires = \"2027-03-01\" bounded above",
+            "// svbr-analyze: allow(seed-flow, panic-surface) bounded above",
             7,
         )
         .expect("waiver");
-        assert_eq!(w.ids, vec!["no-unwrap", "float-eq"]);
-        assert_eq!(w.expires.as_deref(), Some("2027-03-01"));
+        assert_eq!(w.ids, vec!["seed-flow", "panic-surface"]);
         assert_eq!(w.line, 7);
         assert_eq!(w.reason, "bounded above");
-        // No expiry: None, and the whole tail is the reason.
-        let w = parse_waiver_line("// svbr-analyze: allow(seed-flow) threads via CkptRng", 1)
-            .expect("waiver");
-        assert!(w.expires.is_none());
-        assert_eq!(w.reason, "threads via CkptRng");
-        // Malformed date: sentinel that always reads as expired.
-        let w = parse_waiver_line("// svbr-lint: allow(no-unwrap) expires = \"soon\" x", 1)
-            .expect("waiver");
-        assert_eq!(w.expires.as_deref(), Some("0000-00-00"));
         // Not a waiver at all.
         assert!(parse_waiver_line("// plain comment", 1).is_none());
-        assert!(parse_waiver_line("// svbr-lint: allow() empty", 1).is_none());
+        assert!(parse_waiver_line("// svbr-analyze: allow() empty", 1).is_none());
     }
 
     #[test]
     fn suppression_window_and_usage() {
-        let waivers = collect_waivers(&[comment(3, "// svbr-lint: allow(no-unwrap) just set")]);
-        let mut book = WaiverBook::new(waivers, "2026-08-09");
-        assert!(book.suppresses(3, "no-unwrap"));
-        assert!(book.suppresses(4, "no-unwrap"));
-        assert!(!book.suppresses(5, "no-unwrap"));
-        assert!(!book.suppresses(3, "no-expect"));
-        let audit = book.audit(&["no-unwrap"]);
-        assert_eq!(audit.len(), 1);
-        assert!(audit[0].2, "waiver must be marked used");
+        let waivers = collect_waivers(&[comment(3, "// svbr-analyze: allow(seed-flow) just set")]);
+        let mut book = WaiverBook::new(waivers);
+        assert_eq!(book.unused(&["seed-flow"]).len(), 1);
+        assert!(book.suppresses(3, "seed-flow"));
+        assert!(book.suppresses(4, "seed-flow"));
+        assert!(!book.suppresses(5, "seed-flow"));
+        assert!(!book.suppresses(3, "panic-surface"));
+        assert!(book.unused(&["seed-flow"]).is_empty(), "marked used");
         // reason_at uses the same window and reads back the invariant.
-        assert_eq!(book.reason_at(4, "no-unwrap"), Some("just set"));
-        assert_eq!(book.reason_at(5, "no-unwrap"), None);
-        assert_eq!(book.reason_at(3, "no-expect"), None);
+        assert_eq!(book.reason_at(4, "seed-flow"), Some("just set"));
+        assert_eq!(book.reason_at(5, "seed-flow"), None);
+        assert_eq!(book.reason_at(3, "panic-surface"), None);
     }
 
     #[test]
-    fn expired_waiver_stops_suppressing_but_counts_as_used() {
-        let waivers = collect_waivers(&[comment(
-            2,
-            "// svbr-lint: allow(no-unwrap) expires = \"2026-01-01\" temporary",
-        )]);
-        let mut book = WaiverBook::new(waivers, "2026-08-09");
-        assert!(!book.suppresses(2, "no-unwrap"));
-        let audit = book.audit(&["no-unwrap"]);
-        assert_eq!(audit.len(), 1);
-        assert!(audit[0].1, "expired");
-        assert!(audit[0].2, "used (matched a finding)");
-        // Future expiry still suppresses.
-        let waivers = collect_waivers(&[comment(
-            2,
-            "// svbr-lint: allow(no-unwrap) expires = \"2027-01-01\" temporary",
-        )]);
-        let mut book = WaiverBook::new(waivers, "2026-08-09");
-        assert!(book.suppresses(2, "no-unwrap"));
-    }
-
-    #[test]
-    fn audit_skips_foreign_and_placeholder_ids() {
+    fn unused_skips_foreign_and_placeholder_ids() {
         let waivers = collect_waivers(&[
-            comment(1, "// svbr-lint: allow(<id>[, <id>…]) doc example"),
+            comment(1, "// svbr-analyze: allow(<id>[, <id>…]) doc example"),
             comment(5, "// svbr-analyze: allow(seed-flow) owned by analyze"),
         ]);
-        let book = WaiverBook::new(waivers, "2026-08-09");
-        // The lint pass owns neither `<id>[` nor `seed-flow`.
-        assert!(book.audit(&["no-unwrap", "no-expect"]).is_empty());
-        // The analyze pass owns seed-flow; the unused waiver surfaces.
-        let audit = book.audit(&["seed-flow"]);
-        assert_eq!(audit.len(), 1);
-        assert!(!audit[0].2, "collected but never used");
-    }
-
-    #[test]
-    fn civil_from_days_matches_known_dates() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(19_723), (2024, 1, 1));
-        assert_eq!(civil_from_days(20_674), (2026, 8, 9));
-        // Leap day.
-        assert_eq!(civil_from_days(18_321), (2020, 2, 29));
-    }
-
-    #[test]
-    fn build_date_prefers_override_then_env() {
-        assert_eq!(build_date(Some("2030-01-02")), "2030-01-02");
-        // Without an override the result is at least a well-formed date.
-        assert!(is_iso_date(&build_date(None)));
-    }
-
-    #[test]
-    fn iso_date_shape() {
-        assert!(is_iso_date("2026-08-09"));
-        assert!(!is_iso_date("2026-8-9"));
-        assert!(!is_iso_date("20260809"));
-        assert!(!is_iso_date("2026-08-0x"));
+        let book = WaiverBook::new(waivers);
+        assert!(book.unused(&["panic-surface"]).is_empty());
+        let unused = book.unused(&["seed-flow"]);
+        assert_eq!(unused.len(), 1);
+        assert_eq!(unused[0].line, 5);
     }
 }
