@@ -251,6 +251,14 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
             iters: scale(10, 3),
             threads: 1,
         },
+        // The same loop on the Davies–Harte tier, which builds a sampler
+        // per chunk: it gates the per-chunk set-up, FFT plan lookup included.
+        CaseSpec {
+            name: "serve_chunk_generate_dh",
+            n: scale(4096, 1024),
+            iters: scale(10, 5),
+            threads: 1,
+        },
         CaseSpec {
             name: "serve_session_stream",
             n: scale(64, 16),
@@ -504,11 +512,16 @@ pub fn run_suite(
                     time_quantiles(&binned)
                 }
             }
-            "serve_chunk_generate" => {
-                // The session worker's inner loop: exact-Hosking chunks
-                // resumed from committed generator state through the
-                // arena path — one persistent ChunkScratch, commit via
-                // capacity-reusing clone_from, as run_session does.
+            "serve_chunk_generate" | "serve_chunk_generate_dh" => {
+                // The session worker's inner loop: chunks resumed from
+                // committed generator state through the arena path — one
+                // persistent ChunkScratch, commit via capacity-reusing
+                // clone_from, as run_session does.
+                let tier = if spec.name == "serve_chunk_generate" {
+                    GeneratorTier::HoskingExact
+                } else {
+                    GeneratorTier::DaviesHarte
+                };
                 let (table, _shrink) = prepare_table(FgnAcf::new(HURST)?, spec.n + 1)?;
                 let transform = GaussianTransform::new(Lognormal::from_moments(1.0, 0.25)?);
                 let mut scratch = ChunkScratch::new();
@@ -518,7 +531,7 @@ pub fn run_suite(
                     while total < spec.n {
                         generate_chunk_into(
                             &st,
-                            GeneratorTier::HoskingExact,
+                            tier,
                             &table,
                             &transform,
                             SERVE_CHUNK_LEN,

@@ -17,8 +17,8 @@ use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use svbr_lrd::acf::{LagScaledAcf, TabulatedAcf};
-use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
-use svbr_lrd::davies_harte::{pd_project, DaviesHarte};
+use svbr_lrd::cache::{davies_harte_cached, hosking_coefficients, CachedHosking};
+use svbr_lrd::davies_harte::pd_project;
 use svbr_lrd::hosking::HoskingSampler;
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::{BinnedEmpirical, TabulatedEmpirical};
@@ -177,10 +177,12 @@ impl CompositeVideoFit {
         Ok(FrameTrace::new(sizes, self.pattern.clone()))
     }
 
-    /// The shared background-path stage of both generate variants. The
-    /// Hosking branch pulls its Durbin–Levinson schedule from the process
-    /// cache ([`hosking_coefficients`]) and produces the same bits as the
-    /// streaming sampler at the same RNG state.
+    /// The shared background-path stage of both generate variants. Both
+    /// branches take their set-up from the process caches — the
+    /// Davies–Harte sampler from [`davies_harte_cached`], the
+    /// Durbin–Levinson schedule from [`hosking_coefficients`] — so repeated
+    /// calls on one model prepare once, and produce the same bits as a
+    /// fresh sampler at the same RNG state.
     fn background_path<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -195,7 +197,7 @@ impl CompositeVideoFit {
                 .composite_acf()?
                 .compensate(self.i_fit.attenuation)?;
             let scaled = LagScaledAcf::new(compensated, self.pattern.period() as f64)?;
-            Ok(DaviesHarte::new_approx(&scaled, n, 5e-2)?.generate(rng))
+            Ok(davies_harte_cached(&scaled, n, 5e-2)?.generate(rng))
         } else {
             let table = self.background_table(n.max(2))?;
             match hosking_coefficients(&table, n)? {

@@ -8,7 +8,8 @@
 
 use crate::CoreError;
 use svbr_stats::{
-    gph_estimate, local_whittle, rs_hurst, variance_time_hurst, wavelet_hurst, RsOptions, VtOptions,
+    gph_from_periodogram, local_whittle_from_periodogram, periodogram, rs_hurst,
+    variance_time_hurst, wavelet_hurst, RsOptions, VtOptions,
 };
 
 /// Options for the combined Hurst estimation.
@@ -70,14 +71,17 @@ impl HurstEstimates {
 pub fn estimate_hurst(series: &[f64], opts: &HurstOptions) -> Result<HurstEstimates, CoreError> {
     let vt = variance_time_hurst(series, &opts.vt)?.hurst;
     let rs = rs_hurst(series, &opts.rs)?.hurst;
-    let gph = gph_estimate(series, opts.gph_frequencies)
-        .map(|g| g.hurst)
-        .unwrap_or(f64::NAN);
+    // GPH and local Whittle both regress on the same periodogram.
+    let pg = periodogram(series);
+    let n = series.len();
+    let gph = pg.as_ref().map_or(f64::NAN, |(freqs, ords)| {
+        gph_from_periodogram(freqs, ords, n, opts.gph_frequencies).map_or(f64::NAN, |g| g.hurst)
+    });
     let (whittle, wavelet) = if opts.extended_estimators {
         (
-            local_whittle(series, None)
-                .map(|w| w.hurst)
-                .unwrap_or(f64::NAN),
+            pg.as_ref().map_or(f64::NAN, |(freqs, ords)| {
+                local_whittle_from_periodogram(freqs, ords, n, None).map_or(f64::NAN, |w| w.hurst)
+            }),
             wavelet_hurst(series, 4, 16)
                 .map(|w| w.hurst)
                 .unwrap_or(f64::NAN),
@@ -173,6 +177,18 @@ mod tests {
         let xs = fgn(0.5, 100_000, 3);
         let est = estimate_hurst(&xs, &opts())?;
         assert!(est.combined >= 0.55 && est.combined <= 0.975);
+        Ok(())
+    }
+
+    #[test]
+    fn shared_periodogram_matches_separate_estimators() -> Result<(), Box<dyn std::error::Error>> {
+        let xs = fgn(0.8, 100_000, 5);
+        let o = opts();
+        let est = estimate_hurst(&xs, &o)?;
+        let gph = svbr_stats::gph_estimate(&xs, o.gph_frequencies)?.hurst;
+        let whittle = svbr_stats::local_whittle(&xs, None)?.hurst;
+        assert_eq!(est.gph.to_bits(), gph.to_bits());
+        assert_eq!(est.whittle.to_bits(), whittle.to_bits());
         Ok(())
     }
 

@@ -6,6 +6,7 @@ use crate::hurst::{estimate_hurst, HurstEstimates, HurstOptions};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use svbr_lrd::acf::{
     Acf, CompensatedAcf, CompositeAcf, ExpTerm, ExponentialAcf, FgnAcf, TabulatedAcf,
 };
@@ -446,16 +447,26 @@ impl UnifiedFit {
 
     /// Build a generator for the given model kind, able to produce traces
     /// up to `max_len` samples.
+    ///
+    /// Nothing is precomputed here: the PD table Hosking's method needs is
+    /// projected on the first exact draw (or [`UnifiedGenerator::background_acf`]
+    /// call), and the Davies–Harte set-up happens on the first fast draw.
     pub fn generator(
         &self,
         kind: BackgroundKind,
         max_len: usize,
     ) -> Result<UnifiedGenerator, CoreError> {
-        let model = self.background_model(kind)?;
-        let table = pd_project(&model, max_len)?;
+        if max_len == 0 {
+            return Err(CoreError::InvalidParameter {
+                name: "max_len",
+                constraint: "max_len >= 1",
+            });
+        }
         Ok(UnifiedGenerator {
-            model,
-            table,
+            model: self.background_model(kind)?,
+            max_len,
+            table: OnceLock::new(),
+            fast: Mutex::new(None),
             transform: GaussianTransform::new(self.marginal.clone()),
         })
     }
@@ -488,14 +499,38 @@ impl Acf for BackgroundAcf {
 
 /// A generator of synthetic VBR traffic with the fitted marginal and
 /// autocorrelation structure.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct UnifiedGenerator {
     /// Smooth model ACF — embedded directly by the fast generator, so no
     /// truncation discontinuity enters the circulant.
     model: BackgroundAcf,
-    /// PD projection of the model — consumed by Hosking's method.
-    table: TabulatedAcf,
+    /// Longest trace the generator produces.
+    max_len: usize,
+    /// PD projection of the model over `max_len` lags — consumed by
+    /// Hosking's method, built on first use.
+    table: OnceLock<TabulatedAcf>,
+    /// The Davies–Harte sampler of the most recent fast length: repeated
+    /// draws at one length share one circulant set-up. Only ever replaced
+    /// whole, so a poisoned lock still holds a valid sampler.
+    fast: Mutex<Option<Arc<DaviesHarte>>>,
     transform: GaussianTransform<BinnedEmpirical>,
+}
+
+impl Clone for UnifiedGenerator {
+    fn clone(&self) -> Self {
+        let fast = self
+            .fast
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        Self {
+            model: self.model.clone(),
+            max_len: self.max_len,
+            table: self.table.clone(),
+            fast: Mutex::new(fast),
+            transform: self.transform.clone(),
+        }
+    }
 }
 
 impl UnifiedGenerator {
@@ -523,14 +558,23 @@ impl UnifiedGenerator {
         }
         Ok(Self {
             model: BackgroundAcf::Table(background.clone()),
-            table: background,
+            max_len: background.len(),
+            table: OnceLock::from(background),
+            fast: Mutex::new(None),
             transform: GaussianTransform::new(marginal),
         })
     }
 
-    /// The background ACF table (PD-projected).
-    pub fn background_acf(&self) -> &TabulatedAcf {
-        &self.table
+    /// The background ACF table (PD-projected over `max_len()` lags; from
+    /// [`Self::from_parts`], the given table). Projected on the first call,
+    /// bit-identical to [`UnifiedFit::background_table`] at the same kind
+    /// and length.
+    pub fn background_acf(&self) -> Result<&TabulatedAcf, CoreError> {
+        if let Some(table) = self.table.get() {
+            return Ok(table);
+        }
+        let table = pd_project(&self.model, self.max_len)?;
+        Ok(self.table.get_or_init(|| table))
     }
 
     /// The smooth background model.
@@ -543,9 +587,9 @@ impl UnifiedGenerator {
         &self.transform
     }
 
-    /// Maximum trace length the background table supports.
+    /// Maximum trace length the generator supports.
     pub fn max_len(&self) -> usize {
-        self.table.len()
+        self.max_len
     }
 
     /// Generate the background Gaussian path with Hosking's exact method
@@ -568,15 +612,21 @@ impl UnifiedGenerator {
                 constraint: "n <= max_len()",
             });
         }
-        match hosking_coefficients(&self.table, n)? {
+        let table = self.background_acf()?;
+        match hosking_coefficients(table, n)? {
             CachedHosking::Shared(prepared) => Ok(prepared.sample_path(rng)),
             // Horizon past the cache's memory cap: stream the recursion.
-            CachedHosking::Streaming => Ok(HoskingSampler::new(&self.table)?.generate(n, rng)?),
+            CachedHosking::Streaming => Ok(HoskingSampler::new(table)?.generate(n, rng)?),
         }
     }
 
     /// Generate the background Gaussian path with the Davies–Harte
     /// circulant method (O(n log n)), embedding the smooth model ACF.
+    ///
+    /// The circulant set-up is kept for the next call at the same `n`, so
+    /// replications pay only the per-path transform. The path is
+    /// bit-identical to a fresh `DaviesHarte::new_approx(model, n, 5e-2)`
+    /// at the same RNG state.
     pub fn background_fast<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -588,8 +638,19 @@ impl UnifiedGenerator {
                 constraint: "n <= max_len()",
             });
         }
-        let dh = DaviesHarte::new_approx(&self.model, n, 5e-2)?;
-        Ok(dh.generate(rng))
+        Ok(self.fast_sampler(n)?.generate(rng))
+    }
+
+    /// The memoized Davies–Harte sampler for length `n`, built (under the
+    /// lock, so concurrent callers set up once) when the length changes.
+    fn fast_sampler(&self, n: usize) -> Result<Arc<DaviesHarte>, CoreError> {
+        let mut slot = self.fast.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(dh) = slot.as_ref().filter(|dh| dh.len() == n) {
+            return Ok(Arc::clone(dh));
+        }
+        let dh = Arc::new(DaviesHarte::new_approx(&self.model, n, 5e-2)?);
+        *slot = Some(Arc::clone(&dh));
+        Ok(dh)
     }
 
     /// Generate a foreground (bytes-per-frame) trace: background +
@@ -850,11 +911,68 @@ mod tests {
     }
 
     #[test]
+    fn generator_fast_path_is_bit_identical_to_fresh_sampler(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let fit = reference_fit()?;
+        let g = fit.generator(BackgroundKind::SrdLrd, 2_048)?;
+        let model = fit.background_model(BackgroundKind::SrdLrd)?;
+        let transform = GaussianTransform::new(fit.marginal.clone());
+        let mut r1 = StdRng::seed_from_u64(31);
+        let mut r2 = StdRng::seed_from_u64(31);
+        // Repeats at one length reuse the memoized set-up; a length change
+        // replaces it, and returning to the first length rebuilds it.
+        for n in [2_048usize, 2_048, 2_048, 700, 2_048] {
+            let ys = g.generate(n, true, &mut r1)?;
+            let fresh = DaviesHarte::new_approx(&model, n, 5e-2)?.generate(&mut r2);
+            let expect = transform.apply_slice(&fresh);
+            assert_eq!(ys.len(), n);
+            assert!(
+                ys.iter()
+                    .zip(&expect)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "n = {n}"
+            );
+        }
+        // A clone carries the memo and draws the same bits.
+        let h = g.clone();
+        let mut r3 = StdRng::seed_from_u64(32);
+        let mut r4 = StdRng::seed_from_u64(32);
+        assert_eq!(
+            h.generate(2_048, true, &mut r3)?,
+            g.generate(2_048, true, &mut r4)?
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn generator_lazy_table_matches_background_table() -> Result<(), Box<dyn std::error::Error>> {
+        let fit = reference_fit()?;
+        for kind in [
+            BackgroundKind::SrdLrd,
+            BackgroundKind::SrdOnly,
+            BackgroundKind::LrdOnly,
+        ] {
+            let g = fit.generator(kind, 600)?;
+            let lazy = g.background_acf()?;
+            let eager = fit.background_table(kind, 600)?;
+            assert_eq!(lazy.len(), eager.len());
+            assert!(
+                (0..eager.len()).all(|k| lazy.r(k).to_bits() == eager.r(k).to_bits()),
+                "{kind:?}"
+            );
+            // The second call returns the same table, not a new projection.
+            assert!(std::ptr::eq(lazy, g.background_acf()?));
+        }
+        assert!(fit.generator(BackgroundKind::SrdLrd, 0).is_err());
+        Ok(())
+    }
+
+    #[test]
     fn from_parts_roundtrip() -> Result<(), Box<dyn std::error::Error>> {
         let fit = reference_fit()?;
         let table = fit.background_table(BackgroundKind::SrdLrd, 128)?;
         let g = UnifiedGenerator::from_parts(table.clone(), fit.marginal.clone())?;
-        assert_eq!(g.background_acf().len(), table.len());
+        assert_eq!(g.background_acf()?.len(), table.len());
         let mut rng = StdRng::seed_from_u64(5);
         let xs = g.generate(64, true, &mut rng)?;
         assert_eq!(xs.len(), 64);

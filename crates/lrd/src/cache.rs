@@ -33,7 +33,15 @@
 //!
 //! A third cache memoizes the [`FftPlan`] (twiddle tables + bit-reversal
 //! permutation) keyed by transform length alone, so every Davies–Harte
-//! setup and per-path transform at one length shares a single plan.
+//! setup, per-path transform and sample ACF at one length shares a single
+//! plan (real transforms of length `2n` run on the plan of length `n`).
+//! Plans up to [`FFT_PLAN_PINNED_BYTES_CAP`] stay resident once built, so
+//! callers that build a sampler per use (serve's Davies–Harte tier builds
+//! one per chunk) never re-plan. Larger plans are held *weakly*: such a
+//! plan lives while anything using it does — a Davies–Harte sampler holds
+//! its own — and is freed with the last holder, so a paper-size plan
+//! (~7 MB at 2¹⁸) does not stay resident after the fit or the figure that
+//! needed it.
 
 use crate::acf::Acf;
 use crate::davies_harte::DaviesHarte;
@@ -41,7 +49,7 @@ use crate::fft::{next_power_of_two, FftPlan};
 use crate::hosking::PreparedHosking;
 use crate::LrdError;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Largest single Hosking coefficient schedule the cache will hold
 /// (64 MiB ≈ n = 4090). Larger horizons bypass the cache entirely.
@@ -55,10 +63,11 @@ pub const HOSKING_CACHE_BYTES_CAP: usize = 192 << 20;
 /// O(n) so this is generous).
 pub const DAVIES_HARTE_CACHE_BYTES_CAP: usize = 32 << 20;
 
-/// Total resident cap for the FFT-plan cache. Plans are keyed by transform
-/// length alone and cost ~48 bytes per point, so this holds every length
-/// the workloads in this repo touch simultaneously.
-pub const FFT_PLAN_CACHE_BYTES_CAP: usize = 8 << 20;
+/// FFT plans whose footprint is at most this stay resident once built;
+/// larger ones are held weakly. A plan costs ~28 bytes per point and plan
+/// lengths are powers of two, so the pinned plans (lengths up to 2¹⁵)
+/// total under twice this cap.
+pub const FFT_PLAN_PINNED_BYTES_CAP: usize = 1 << 20;
 
 /// Fingerprint the first `lags` autocorrelation values (exact f64 bit
 /// patterns, FNV-1a). Two ACFs agreeing bit-for-bit on every consumed lag
@@ -95,7 +104,22 @@ pub enum CachedHosking {
 // already `Ord`.
 type HoskingCache = Cache<(u64, usize), Arc<PreparedHosking>>;
 type DhCache = Cache<(u64, usize, u64), Arc<DaviesHarte>>;
-type PlanCache = Cache<usize, Arc<FftPlan>>;
+type PlanCache = BTreeMap<usize, PlanSlot>;
+
+/// A plan the cache keeps alive, or one it only finds while others do.
+enum PlanSlot {
+    Pinned(Arc<FftPlan>),
+    Held(Weak<FftPlan>),
+}
+
+impl PlanSlot {
+    fn get(&self) -> Option<Arc<FftPlan>> {
+        match self {
+            Self::Pinned(plan) => Some(Arc::clone(plan)),
+            Self::Held(plan) => plan.upgrade(),
+        }
+    }
+}
 
 struct Cache<K: Ord, V> {
     map: BTreeMap<K, V>,
@@ -146,7 +170,7 @@ fn dh_cache() -> &'static Mutex<DhCache> {
 
 fn plan_cache() -> &'static Mutex<PlanCache> {
     static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Cache::empty()))
+    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// Bytes held by one prepared schedule: the triangular `φ` rows plus the
@@ -155,9 +179,10 @@ fn hosking_entry_bytes(n: usize) -> usize {
     (n * (n + 1) / 2 + 2 * n) * std::mem::size_of::<f64>()
 }
 
-/// Bytes held by one eigenvalue vector (`m = 2^⌈log₂ 2(n−1)⌉` scales).
+/// Bytes held by one eigenvalue vector (`m/2 + 1` scales for the
+/// embedding length `m = 2^⌈log₂ 2(n−1)⌉`).
 fn dh_entry_bytes(n: usize) -> usize {
-    next_power_of_two(2 * n.max(2)) * std::mem::size_of::<f64>()
+    (next_power_of_two(2 * n.max(2)) / 2 + 1) * std::mem::size_of::<f64>()
 }
 
 /// Dimensional view of the flat `cache.<backend>.hit/miss` counters: one
@@ -262,17 +287,18 @@ pub fn davies_harte_cached<A: Acf>(
 /// Look up (or build and insert) the [`FftPlan`] for transforms of length
 /// `n`. The plan is a pure function of the length, so every Davies–Harte
 /// setup, replication fan-out, and serve chunk generator targeting the same
-/// power of two shares one `Arc`'d table.
+/// power of two shares one `Arc`'d table — always for small plans, and for
+/// plans above [`FFT_PLAN_PINNED_BYTES_CAP`] while anything holds one.
 ///
 /// # Panics
 /// Panics if `n` is not a power of two (same contract as [`FftPlan::new`]).
 pub fn fft_plan(n: usize) -> Arc<FftPlan> {
     {
         let cache = plan_cache().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.map.get(&n) {
+        if let Some(hit) = cache.get(&n).and_then(PlanSlot::get) {
             svbr_obsv::counter("cache.fft_plan.hit").add(1);
             observe_lookup("fft_plan", "hit");
-            return Arc::clone(hit);
+            return hit;
         }
     }
     // Built outside the lock, like the other caches: planning is O(n) but
@@ -280,16 +306,22 @@ pub fn fft_plan(n: usize) -> Arc<FftPlan> {
     svbr_obsv::counter("cache.fft_plan.miss").add(1);
     observe_lookup("fft_plan", "miss");
     let plan = Arc::new(FftPlan::new(n));
-    let bytes = plan.footprint_bytes();
     let mut cache = plan_cache().lock().unwrap_or_else(PoisonError::into_inner);
-    let resident = insert_bounded(
-        &mut cache,
-        n,
-        Arc::clone(&plan),
-        bytes,
-        FFT_PLAN_CACHE_BYTES_CAP,
-        &svbr_obsv::counter("cache.fft_plan.evictions"),
-    );
+    cache.retain(|_, slot| match slot {
+        PlanSlot::Pinned(_) => true,
+        PlanSlot::Held(plan) => plan.strong_count() > 0,
+    });
+    let slot = if plan.footprint_bytes() <= FFT_PLAN_PINNED_BYTES_CAP {
+        PlanSlot::Pinned(Arc::clone(&plan))
+    } else {
+        PlanSlot::Held(Arc::downgrade(&plan))
+    };
+    cache.insert(n, slot);
+    let resident: usize = cache
+        .values()
+        .filter_map(PlanSlot::get)
+        .map(|p| p.footprint_bytes())
+        .sum();
     svbr_obsv::gauge("cache.fft_plan.bytes").set(resident as f64);
     plan
 }
@@ -396,11 +428,39 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
+    fn large_fft_plan_is_freed_with_its_last_holder() {
+        // A length no other test in this crate uses, so no other holder
+        // keeps it alive.
+        let n = 1 << 19;
+        let a = fft_plan(n);
+        assert!(a.footprint_bytes() > FFT_PLAN_PINNED_BYTES_CAP);
+        let held = Arc::downgrade(&a);
+        let b = fft_plan(n);
+        assert!(Arc::ptr_eq(&a, &b), "shared while held");
+        drop((a, b));
+        assert!(held.upgrade().is_none(), "the cache must not keep it");
+    }
+
+    #[test]
+    fn small_fft_plans_stay_resident() {
+        // The largest pinned length: a sampler built and dropped per use
+        // must find the same plan on its next build.
+        let n = 1 << 15;
+        let a = fft_plan(n);
+        assert!(a.footprint_bytes() <= FFT_PLAN_PINNED_BYTES_CAP);
+        let held = Arc::downgrade(&a);
+        drop(a);
+        let b = fft_plan(n);
+        assert!(held.upgrade().is_some_and(|p| Arc::ptr_eq(&p, &b)));
+    }
+
+    #[test]
     fn entry_size_model_is_sane() {
         assert_eq!(hosking_entry_bytes(0), 0);
         assert_eq!(hosking_entry_bytes(1), 24);
         assert!(hosking_entry_bytes(4090) <= HOSKING_ENTRY_BYTES_CAP);
-        assert!(dh_entry_bytes(1024) >= 2048 * 8);
+        assert!(dh_entry_bytes(1024) >= 1025 * 8);
     }
 
     /// Largest horizon whose schedule still fits the per-entry cap.

@@ -18,16 +18,19 @@
 //! `sqrt(λ_j/m)` and inverse-transform; the real part of the first `n`
 //! outputs is an exact sample path.
 //!
+//! The row is real and even, so its eigenvalues are real with
+//! `λ_{m−j} = λ_j`, and the synthesized path is real: both transforms run
+//! as half-length real FFTs ([`RealFft`]) and only `λ_0..λ_{m/2}` are kept.
+//!
 //! The paper itself uses Hosking's O(n²) method; this generator is the
 //! standard fast alternative and is benchmarked against it in
 //! `svbr-bench` (ablation: exact-slow vs exact-fast).
 
 use crate::acf::{Acf, TabulatedAcf};
-use crate::fft::{fft, ifft, next_power_of_two, Complex, FftPlan};
+use crate::fft::{fft, ifft, next_power_of_two, Complex, RealFft};
 use crate::gauss::Normal;
 use crate::LrdError;
 use rand::Rng;
-use std::sync::Arc;
 
 /// A prepared Davies–Harte sampler: the eigenvalue square roots are
 /// precomputed once and each trace costs one FFT.
@@ -46,13 +49,13 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DaviesHarte {
-    /// `sqrt(λ_j / m)` for each circulant eigenvalue.
+    /// `sqrt(λ_j / m)` for the circulant eigenvalues `j = 0..=m/2`.
     scale: Vec<f64>,
     /// Number of usable samples per generated path.
     n: usize,
-    /// Shared FFT plan for the length-`m` per-path transform (bitwise
-    /// identical to the unplanned transform; see [`FftPlan`]).
-    plan: Arc<FftPlan>,
+    /// Real FFT of the embedding length `m`, on the shared plan of length
+    /// `m/2`.
+    rfft: RealFft,
 }
 
 impl DaviesHarte {
@@ -94,47 +97,54 @@ impl DaviesHarte {
             return Ok(Self {
                 scale: vec![1.0],
                 n,
-                plan: crate::cache::fft_plan(1),
+                rfft: RealFft::new(2),
             });
         }
         let m = next_power_of_two(2 * (n - 1)).max(2);
         let half = m / 2;
-        let mut row = vec![Complex::default(); m];
-        for (j, item) in row.iter_mut().enumerate().take(half + 1) {
-            *item = Complex::real(acf.r(j));
+        // Lags 0..=m/2, mirrored: the ACF is evaluated once per lag.
+        let mut row = vec![0.0; m];
+        let (lo, hi) = row.split_at_mut(half + 1);
+        for (j, item) in lo.iter_mut().enumerate() {
+            *item = acf.r(j);
         }
-        for (j, item) in row.iter_mut().enumerate().skip(half + 1) {
-            *item = Complex::real(acf.r(m - j));
+        for (item, &mirror) in hi.iter_mut().zip(lo[1..half].iter().rev()) {
+            *item = mirror;
         }
-        fft(&mut row);
-        let pos_mass: f64 = row.iter().map(|z| z.re.max(0.0)).sum();
-        let neg_mass: f64 = row.iter().map(|z| (-z.re).max(0.0)).sum();
+        let rfft = RealFft::new(m);
+        let mut eig = Vec::new();
+        rfft.r2c(&row, &mut eig);
+        // λ_1..λ_{m/2−1} each stand for themselves and their mirror image.
+        let mass = |f: fn(f64) -> f64| -> f64 {
+            eig.iter()
+                .enumerate()
+                .map(|(j, z)| (if j == 0 || j == half { 1.0 } else { 2.0 }) * f(z.re))
+                .sum()
+        };
+        let pos_mass = mass(|x| x.max(0.0));
+        let neg_mass = mass(|x| (-x).max(0.0));
         // Always forgive rounding noise; beyond that, honor rel_tol.
         let budget = pos_mass * rel_tol.max(1e-12);
         if neg_mass > budget {
             #[expect(
                 clippy::expect_used,
-                reason = "the eigenvalue row has 2n-2 >= 2 entries by construction"
+                reason = "the half spectrum has m/2 + 1 >= 2 entries by construction"
             )]
-            let (j, z) = row
+            let (j, z) = eig
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.re.total_cmp(&b.1.re))
-                .expect("row is non-empty");
+                .expect("spectrum is non-empty");
             return Err(LrdError::NegativeCirculantEigenvalue {
                 index: j,
                 value: z.re,
             });
         }
-        let scale = row
+        let scale = eig
             .iter()
             .map(|z| (z.re.max(0.0) / m as f64).sqrt())
             .collect();
-        // The per-path transform reuses one shared plan for length m; the
-        // planned butterflies are bitwise-identical to the unplanned ones,
-        // so committed fixed-seed traces are unchanged.
-        let plan = crate::cache::fft_plan(m);
-        Ok(Self { scale, n, plan })
+        Ok(Self { scale, n, rfft })
     }
 
     /// Number of samples each generated path contains.
@@ -156,7 +166,7 @@ impl DaviesHarte {
     }
 
     /// Generate one exact sample path of length `n` into `out`, reusing
-    /// `scratch` for the length-`m` spectrum.
+    /// `scratch` for the `m/2 + 1` half spectrum.
     ///
     /// Identical output (same values, same RNG consumption) to
     /// [`Self::generate`]; once both buffers have been warmed to capacity —
@@ -183,29 +193,26 @@ impl DaviesHarte {
             out.push(g.sample(rng));
             return;
         }
-        let m = self.scale.len();
-        let half = m / 2;
+        let half = self.scale.len() - 1;
         let mut g = Normal::new();
         scratch.clear();
-        scratch.resize(m, Complex::default());
+        scratch.resize(half + 1, Complex::default());
         let spec = &mut scratch[..];
-        // Hermitian-symmetric Gaussian spectrum:
+        // Hermitian-symmetric Gaussian spectrum, stored for j = 0..=m/2:
         //  - j = 0 and j = m/2: real N(0,1)
-        //  - 0 < j < m/2: (N + iN)/√2, mirrored conjugate at m−j.
+        //  - 0 < j < m/2: (N + iN)/√2 (its conjugate sits at m−j).
+        // The path is the forward transform of that spectrum. It is real,
+        // so it equals its own conjugate: the inverse transform (c2r) of
+        // the conjugated spectrum, which is what is stored.
         spec[0] = Complex::real(self.scale[0] * g.sample(rng));
         spec[half] = Complex::real(self.scale[half] * g.sample(rng));
         let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
-        for j in 1..half {
+        for (z, &s) in spec[1..half].iter_mut().zip(&self.scale[1..half]) {
             let a = g.sample(rng) * inv_sqrt2;
             let b = g.sample(rng) * inv_sqrt2;
-            spec[j] = Complex::new(self.scale[j] * a, self.scale[j] * b);
-            // svbr-analyze: allow(panic-surface) 1 <= j < half = m/2, so half < m-j <= m-1 < m
-            spec[m - j] = Complex::new(self.scale[m - j] * a, -self.scale[m - j] * b);
+            *z = Complex::new(s * a, -s * b);
         }
-        // One forward FFT of the Hermitian spectrum yields a real path; the
-        // shared plan is bitwise-identical to the unplanned transform.
-        self.plan.fft(spec);
-        out.extend(spec[..self.n].iter().map(|z| z.re));
+        self.rfft.c2r(spec, out, self.n);
     }
 
     /// Generate `paths` independent sample paths.

@@ -1,4 +1,4 @@
-//! A self-contained radix-2 complex FFT.
+//! A self-contained radix-2 complex FFT, and a real-input FFT on top of it.
 //!
 //! Used by the Davies–Harte circulant-embedding generator and the
 //! FFT-accelerated autocorrelation estimator. Only power-of-two lengths are
@@ -162,19 +162,25 @@ fn transform(data: &mut [Complex], inverse: bool) {
 /// the bit-reversal permutation (as swap pairs) and the per-stage twiddle
 /// factors, tabulated once and reused on every transform.
 ///
-/// The twiddle tables are produced by running the *exact* recurrence the
-/// unplanned [`fft`]/[`ifft`] butterflies run (`w ← w · w_len` starting from
-/// `1`), so every planned butterfly multiplies by exactly the bits the
-/// unplanned path would have computed on the fly — planned output is
+/// The twiddle table is produced by running the *exact* recurrence the
+/// unplanned [`fft`] butterflies run (`w ← w · w_len` starting from `1`),
+/// so every planned butterfly multiplies by exactly the bits the unplanned
+/// path would have computed on the fly — planned output is
 /// **bitwise-identical** to the unplanned transform by construction (the
-/// property tests in this module prove it across sizes 2⁴..2¹⁴). This is
-/// what lets the Davies–Harte generator adopt the plan without perturbing
-/// any committed fixed-seed trace.
+/// property tests in this module prove it across sizes 2⁴..2¹⁴, plus one
+/// test at 2¹⁸). The inverse direction multiplies by the conjugates of the
+/// same table: `cos` is even and `sin` odd, so the unplanned inverse's
+/// `w_len` is the exact conjugate of the forward one, and sign flips are
+/// exact in the recurrence's complex multiply, so conjugation commutes
+/// with it bit for bit. The planned complex transform therefore matches the
+/// unplanned one bit for bit; the Davies–Harte generator runs on
+/// [`RealFft`], whose paths differ from the complex construction by
+/// rounding only (DESIGN §5 has the measured bound).
 ///
-/// A plan for length `n` holds `n − 1` twiddles per direction plus at most
-/// `n` swap pairs — a few hundred KiB even at the longest horizons in this
-/// repo — and is itself cached process-wide by
-/// [`crate::cache::fft_plan`] alongside the eigenvalue cache.
+/// A plan for length `n` holds `n − 1` twiddles, `n/2 + 1` split twiddles
+/// for [`RealFft`] of length `2n`, and at most `n` swap pairs — about
+/// 28 bytes per point — and is itself cached process-wide by
+/// [`crate::cache::fft_plan`].
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
@@ -182,9 +188,10 @@ pub struct FftPlan {
     swaps: Vec<(u32, u32)>,
     /// Stage-major forward twiddles: stage `len = 2, 4, …, n` contributes
     /// `len/2` entries, `n − 1` total.
-    fwd: Vec<Complex>,
-    /// Inverse-sign twiddles, same layout.
-    inv: Vec<Complex>,
+    tw: Vec<Complex>,
+    /// `e^{−iπk/n}` for `k = 0..=n/2`, each computed directly: the split
+    /// twiddles `e^{−2πik/2n}` of a real transform of length `2n`.
+    split: Vec<Complex>,
 }
 
 impl FftPlan {
@@ -207,22 +214,28 @@ impl FftPlan {
                 swaps.push((i as u32, j as u32));
             }
         }
+        let split = (0..=n / 2)
+            .map(|k| {
+                let ang = -std::f64::consts::PI * k as f64 / n as f64;
+                Complex::new(ang.cos(), ang.sin())
+            })
+            .collect();
         Self {
             n,
             swaps,
-            fwd: Self::twiddles(n, false),
-            inv: Self::twiddles(n, true),
+            tw: Self::twiddles(n),
+            split,
         }
     }
 
-    /// Tabulate per-stage twiddles with the same `w ← w · w_len` recurrence
-    /// the unplanned transform runs, preserving its exact rounding.
-    fn twiddles(n: usize, inverse: bool) -> Vec<Complex> {
-        let sign = if inverse { 1.0 } else { -1.0 };
+    /// Tabulate per-stage forward twiddles with the same `w ← w · w_len`
+    /// recurrence the unplanned transform runs, preserving its exact
+    /// rounding.
+    fn twiddles(n: usize) -> Vec<Complex> {
         let mut tw = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2usize;
         while len <= n {
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
             let wlen = Complex::new(ang.cos(), ang.sin());
             let mut w = Complex::real(1.0);
             for _ in 0..len / 2 {
@@ -247,7 +260,7 @@ impl FftPlan {
     /// Resident bytes of the tabulated state (for cache accounting).
     pub fn footprint_bytes(&self) -> usize {
         self.swaps.len() * std::mem::size_of::<(u32, u32)>()
-            + (self.fwd.len() + self.inv.len()) * std::mem::size_of::<Complex>()
+            + (self.tw.len() + self.split.len()) * std::mem::size_of::<Complex>()
     }
 
     /// In-place forward FFT using the precomputed tables. Bitwise-identical
@@ -256,7 +269,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the planned length.
     pub fn fft(&self, data: &mut [Complex]) {
-        self.run(data, &self.fwd);
+        self.run::<false>(data);
     }
 
     /// In-place inverse FFT (including the `1/n` normalization) using the
@@ -265,7 +278,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the planned length.
     pub fn ifft(&self, data: &mut [Complex]) {
-        self.run(data, &self.inv);
+        self.run::<true>(data);
         let scale = 1.0 / data.len() as f64;
         for z in data.iter_mut() {
             z.re *= scale;
@@ -273,7 +286,9 @@ impl FftPlan {
         }
     }
 
-    fn run(&self, data: &mut [Complex], tw: &[Complex]) {
+    /// The butterflies, without normalization; `INVERSE` conjugates every
+    /// twiddle.
+    fn run<const INVERSE: bool>(&self, data: &mut [Complex]) {
         let n = data.len();
         assert_eq!(
             n, self.n,
@@ -291,10 +306,11 @@ impl FftPlan {
         let mut off = 0usize;
         while len <= n {
             // svbr-analyze: allow(panic-surface) stage-major layout: Σ len/2 over len = 2,4,..,n is exactly tw.len() = n-1, so off+len/2 <= tw.len()
-            let stage = &tw[off..off + len / 2];
+            let stage = &self.tw[off..off + len / 2];
             for chunk in data.chunks_exact_mut(len) {
                 let (lo, hi) = chunk.split_at_mut(len / 2);
                 for ((x, y), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let w = if INVERSE { w.conj() } else { w };
                     let u = *x;
                     let v = *y * w;
                     *x = u + v;
@@ -307,16 +323,149 @@ impl FftPlan {
     }
 }
 
-/// FFT of a real sequence (zero-padded to the next power of two ≥ `min_len`).
-/// Returns the full complex spectrum of length `max(next_pow2(x.len()), min_len)`.
-pub fn fft_real(x: &[f64], min_len: usize) -> Vec<Complex> {
-    let n = next_power_of_two(x.len().max(min_len).max(1));
-    let mut data = vec![Complex::default(); n];
-    for (d, &v) in data.iter_mut().zip(x.iter()) {
-        *d = Complex::real(v);
+/// FFT of a real sequence of power-of-two length `n ≥ 2`, computed as one
+/// complex FFT of length `n/2` on the process-cached half-length
+/// [`FftPlan`]: the standard even/odd packing `z_k = x_{2k} + i·x_{2k+1}`,
+/// then a split step with the plan's twiddles `e^{−2πik/n}`. It does half
+/// the butterflies of a complex transform of the same data and needs half
+/// its buffer, because only the spectrum's non-negative frequencies are
+/// stored (`X_{n−k} = conj(X_k)` for real `x`).
+///
+/// Constructing one is a plan-cache lookup, so call sites build it per use;
+/// the plan is built afresh only when nothing alive holds one.
+///
+/// ```
+/// use svbr_lrd::fft::{Complex, RealFft};
+///
+/// let rfft = RealFft::new(8);
+/// let mut spec = Vec::new();
+/// rfft.r2c(&[1.0, 2.0, 3.0], &mut spec); // zero-padded to 8
+/// assert_eq!(spec.len(), 5);
+/// assert!((spec[0].re - 6.0).abs() < 1e-12);
+/// let mut x = Vec::new();
+/// rfft.c2r(&mut spec, &mut x, 3); // unnormalized: 8 × the input
+/// assert!((x[2] - 24.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RealFft {
+    half: std::sync::Arc<FftPlan>,
+}
+
+impl RealFft {
+    /// A real transform of length `n`, on the cached plan of length `n/2`.
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two ≥ 2.
+    pub fn new(n: usize) -> Self {
+        assert!(
+            is_power_of_two(n) && n >= 2,
+            "real FFT length {n} is not a power of two >= 2"
+        );
+        Self {
+            half: crate::cache::fft_plan(n / 2),
+        }
     }
-    fft(&mut data);
-    data
+
+    /// Forward transform of `x` zero-padded to length `n`: writes
+    /// `X_k = Σ_t x_t e^{−2πikt/n}` for `k = 0..=n/2` into `spec`, which is
+    /// resized to `n/2 + 1` (reusing its capacity).
+    ///
+    /// # Panics
+    /// Panics if `x` is longer than `n`.
+    pub fn r2c(&self, x: &[f64], spec: &mut Vec<Complex>) {
+        let h = self.half.len();
+        assert!(
+            x.len() <= 2 * h,
+            "input of length {} exceeds the real FFT length {}",
+            x.len(),
+            2 * h
+        );
+        spec.clear();
+        spec.resize(h + 1, Complex::default());
+        let mut pairs = x.chunks_exact(2);
+        for (z, p) in spec.iter_mut().zip(&mut pairs) {
+            *z = Complex::new(p[0], p[1]);
+        }
+        if let [last] = pairs.remainder() {
+            spec[x.len() / 2] = Complex::real(*last);
+        }
+        self.half.run::<false>(&mut spec[..h]);
+        // Split: with Z = FFT(z), E_k = (Z_k + conj Z_{h−k})/2 is the
+        // spectrum of the even samples, O_k = (Z_k − conj Z_{h−k})/2i that
+        // of the odd ones, and X_k = E_k + W^k O_k, X_{h−k} = conj(E_k −
+        // W^k O_k) with W = e^{−2πi/n}.
+        let z0 = spec[0];
+        spec[0] = Complex::real(z0.re + z0.im);
+        spec[h] = Complex::real(z0.re - z0.im);
+        if h >= 2 {
+            // X_{n/4} = conj(Z_{n/4}) exactly (W^{n/4} = −i).
+            spec[h / 2] = spec[h / 2].conj();
+        }
+        // Pairs (k, h − k) for 0 < k < h/2; `hi` reversed walks h − k.
+        let (lo, hi) = spec[1..h].split_at_mut((h / 2).saturating_sub(1));
+        for ((xk, xj), &w) in lo
+            .iter_mut()
+            .zip(hi.iter_mut().rev())
+            .zip(&self.half.split[1..])
+        {
+            let (a, b) = (*xk, *xj);
+            let e = Complex::new(0.5 * (a.re + b.re), 0.5 * (a.im - b.im));
+            let o = Complex::new(0.5 * (a.im + b.im), -0.5 * (a.re - b.re));
+            let t = w * o;
+            *xk = e + t;
+            *xj = (e - t).conj();
+        }
+    }
+
+    /// Unnormalized inverse of a Hermitian spectrum: given `X_k` for
+    /// `k = 0..=n/2` in `spec` (length `n/2 + 1`; the imaginary parts of
+    /// `X_0` and `X_{n/2}` are ignored), writes the first `len` of the real
+    /// values `x_t = Σ_{k<n} X_k e^{+2πikt/n}` into `out`, with
+    /// `X_{n−k} = conj(X_k)`. `spec` is used as scratch and overwritten;
+    /// `out` is cleared and refilled, reusing its capacity.
+    ///
+    /// # Panics
+    /// Panics if `spec.len() != n/2 + 1` or `len > n`.
+    pub fn c2r(&self, spec: &mut [Complex], out: &mut Vec<f64>, len: usize) {
+        let h = self.half.len();
+        assert_eq!(
+            spec.len(),
+            h + 1,
+            "half spectrum must have n/2 + 1 = {} bins",
+            h + 1
+        );
+        assert!(len <= 2 * h, "{len} outputs exceed the real FFT length");
+        // Inverse split: Z_k = (X_k + conj X_{h−k}) + i·(X_k − conj X_{h−k})
+        // conj(W^k) packs the even-sample spectrum into the real part and
+        // the odd-sample one into the imaginary part.
+        let (x0, xh) = (spec[0].re, spec[h].re);
+        spec[0] = Complex::new(x0 + xh, x0 - xh);
+        if h >= 2 {
+            spec[h / 2] = Complex::new(2.0 * spec[h / 2].re, -2.0 * spec[h / 2].im);
+        }
+        // Pairs (k, h − k) for 0 < k < h/2; `hi` reversed walks h − k.
+        let (lo, hi) = spec[1..h].split_at_mut((h / 2).saturating_sub(1));
+        for ((xk, xj), &w) in lo
+            .iter_mut()
+            .zip(hi.iter_mut().rev())
+            .zip(&self.half.split[1..])
+        {
+            let (a, b) = (*xk, *xj);
+            let e = Complex::new(a.re + b.re, a.im - b.im);
+            let o = Complex::new(a.re - b.re, a.im + b.im) * w.conj();
+            *xk = Complex::new(e.re - o.im, e.im + o.re);
+            *xj = Complex::new(e.re + o.im, o.re - e.im);
+        }
+        self.half.run::<true>(&mut spec[..h]);
+        out.clear();
+        for z in &spec[..len / 2] {
+            out.push(z.re);
+            out.push(z.im);
+        }
+        if len % 2 == 1 {
+            out.push(spec[len / 2].re);
+        }
+    }
 }
 
 /// Circular autocorrelation support: compute the (linear) autocovariance of
@@ -324,22 +473,26 @@ pub fn fft_real(x: &[f64], min_len: usize) -> Vec<Complex> {
 /// or normalization — callers handle centering.
 ///
 /// This pads to at least `2n` so circular wrap-around never contaminates the
-/// requested lags.
+/// requested lags. The power spectrum of real data is real and even, so
+/// both transforms run as [`RealFft`]s.
 pub fn autocovariance_fft(x: &[f64], max_lag: usize) -> Vec<f64> {
     let n = x.len();
     assert!(max_lag < n, "max_lag must be < series length");
     let m = next_power_of_two(2 * n);
-    let mut data = vec![Complex::default(); m];
-    for (d, &v) in data.iter_mut().zip(x.iter()) {
-        *d = Complex::real(v);
+    let rfft = RealFft::new(m);
+    let mut spec = Vec::new();
+    rfft.r2c(x, &mut spec);
+    for z in spec.iter_mut() {
+        *z = Complex::real(z.norm_sqr());
     }
-    fft(&mut data);
-    for z in data.iter_mut() {
-        let p = z.norm_sqr();
-        *z = Complex::real(p);
+    let mut cov = Vec::with_capacity(max_lag + 1);
+    rfft.c2r(&mut spec, &mut cov, max_lag + 1);
+    // c2r is unnormalized (× m); the estimator divides by n.
+    let scale = 1.0 / (m as f64 * n as f64);
+    for c in cov.iter_mut() {
+        *c *= scale;
     }
-    ifft(&mut data);
-    (0..=max_lag).map(|k| data[k].re / n as f64).collect()
+    cov
 }
 
 #[cfg(test)]
@@ -431,21 +584,70 @@ mod tests {
 
     #[test]
     fn autocovariance_fft_matches_direct() {
-        let x: Vec<f64> = (0..200)
-            .map(|i| ((i as f64 * 0.17).sin() + (i as f64 * 0.03).cos()) * 2.0)
-            .collect();
-        let max_lag = 20;
-        let fast = autocovariance_fft(&x, max_lag);
-        let n = x.len() as f64;
-        for (k, &f) in fast.iter().enumerate() {
-            let direct: f64 = x
-                .iter()
-                .zip(x.iter().skip(k))
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-                / n;
-            assert_close(f, direct, 1e-9);
+        // Odd and even lengths, including ones just past a power of two
+        // (the padded length jumps) and a single sample.
+        for len in [1usize, 2, 3, 200, 201, 257, 1000, 1023] {
+            let x: Vec<f64> = (0..len)
+                .map(|i| ((i as f64 * 0.17).sin() + (i as f64 * 0.03).cos()) * 2.0 - 0.4)
+                .collect();
+            let max_lag = (len - 1).min(40);
+            let fast = autocovariance_fft(&x, max_lag);
+            assert_eq!(fast.len(), max_lag + 1);
+            let n = len as f64;
+            let direct: Vec<f64> = (0..=max_lag)
+                .map(|k| {
+                    x.iter()
+                        .zip(x.iter().skip(k))
+                        .map(|(a, b)| a * b)
+                        .sum::<f64>()
+                        / n
+                })
+                .collect();
+            // Rounding relative to the lag-0 value, i.e. on the ACF scale.
+            for (k, (&f, &d)) in fast.iter().zip(&direct).enumerate() {
+                assert!(
+                    (f - d).abs() <= 1e-13 * direct[0],
+                    "n={len} lag {k}: fft {f} vs direct {d}"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn planned_fft_is_bitwise_identical_at_2_pow_18() {
+        // The paper-size half-length plan (Davies–Harte and the sample ACF
+        // at 238,626 frames run real transforms of length 2^19).
+        let n = 1usize << 18;
+        let orig: Vec<Complex> = (0..n)
+            .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
+            .collect();
+        let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
+            zs.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let plan = FftPlan::new(n);
+        let mut unplanned = orig.clone();
+        fft(&mut unplanned);
+        let mut planned = orig;
+        plan.fft(&mut planned);
+        assert!(
+            bits(&planned) == bits(&unplanned),
+            "forward transform differs"
+        );
+        ifft(&mut unplanned);
+        plan.ifft(&mut planned);
+        assert!(
+            bits(&planned) == bits(&unplanned),
+            "inverse transform differs"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two >= 2")]
+    fn real_fft_rejects_length_one() {
+        let _ = RealFft::new(1);
     }
 
     #[test]
@@ -471,13 +673,6 @@ mod tests {
         assert!(!is_power_of_two(12));
         assert_eq!(next_power_of_two(5), 8);
         assert_eq!(next_power_of_two(8), 8);
-    }
-
-    #[test]
-    fn fft_real_pads() {
-        let spec = fft_real(&[1.0, 2.0, 3.0], 8);
-        assert_eq!(spec.len(), 8);
-        assert_close(spec[0].re, 6.0, 1e-12);
     }
 
     #[test]
@@ -514,9 +709,10 @@ mod tests {
     #[test]
     fn plan_footprint_is_linear_in_length() {
         let p = FftPlan::new(1024);
-        // 2 × (n − 1) complex twiddles plus at most n swap pairs.
-        assert!(p.footprint_bytes() >= 2 * 1023 * 16);
-        assert!(p.footprint_bytes() <= 2 * 1023 * 16 + 1024 * 8);
+        // n − 1 twiddles and n/2 + 1 split twiddles (16 bytes each) plus at
+        // most n swap pairs.
+        assert!(p.footprint_bytes() >= (1023 + 513) * 16);
+        assert!(p.footprint_bytes() <= (1023 + 513) * 16 + 1024 * 8);
     }
 
     #[test]
@@ -638,6 +834,44 @@ mod proptests {
             for (a, b) in x.iter().zip(orig.iter()) {
                 prop_assert!((a.re - b.re).abs() < bound, "re err {}", (a.re - b.re).abs());
                 prop_assert!((a.im - b.im).abs() < bound, "im err {}", (a.im - b.im).abs());
+            }
+        }
+
+        #[test]
+        fn real_fft_matches_complex_transform(log_n in 1usize..17, seed in 0u64..1000, pad in 0usize..3) {
+            // r2c against the complex FFT of the zero-imaginary (and
+            // zero-padded) input; c2r of that half spectrum against the
+            // unnormalized complex inverse, which returns n·x.
+            let n = 1usize << log_n;
+            let len = n.saturating_sub(pad).max(1);
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(3);
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            let x: Vec<f64> = (0..len).map(|_| next()).collect();
+            let mut full = vec![Complex::default(); n];
+            for (z, &v) in full.iter_mut().zip(&x) {
+                *z = Complex::real(v);
+            }
+            fft(&mut full);
+            let rfft = RealFft::new(n);
+            let mut spec = Vec::new();
+            rfft.r2c(&x, &mut spec);
+            prop_assert_eq!(spec.len(), n / 2 + 1);
+            let bound = 1e-13 * (log_n as f64 + 1.0) * (n as f64).sqrt();
+            for (a, b) in spec.iter().zip(&full) {
+                prop_assert!((a.re - b.re).abs() < bound, "re {} vs {}", a.re, b.re);
+                prop_assert!((a.im - b.im).abs() < bound, "im {} vs {}", a.im, b.im);
+            }
+            let mut back = Vec::new();
+            rfft.c2r(&mut spec, &mut back, len);
+            prop_assert_eq!(back.len(), len);
+            let bound = 1e-13 * (log_n as f64 + 1.0) * n as f64;
+            for (a, b) in back.iter().zip(&x) {
+                prop_assert!((a - n as f64 * b).abs() < bound, "{} vs {}", a, n as f64 * b);
             }
         }
 

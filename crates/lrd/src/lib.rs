@@ -23,7 +23,9 @@
 //!   capped with a documented fallback to the streaming recursion.
 //! * [`fft`] — a self-contained radix-2 complex FFT (no external deps),
 //!   with a precomputed [`fft::FftPlan`] (twiddles + bit-reversal) for
-//!   repeated same-length transforms.
+//!   repeated same-length transforms, and [`fft::RealFft`], the half-length
+//!   real-input transform the Davies–Harte generator and the sample ACF
+//!   run on.
 //! * [`kernels`] — lane-batched (4-accumulator) dot-product kernels shared
 //!   by every Durbin–Levinson consumer, with documented per-kernel
 //!   bit-identity decisions.
@@ -67,7 +69,7 @@ pub use cache::{
     acf_fingerprint, davies_harte_cached, fft_plan, hosking_coefficients, CachedHosking,
 };
 pub use davies_harte::{pd_project, DaviesHarte};
-pub use fft::FftPlan;
+pub use fft::{FftPlan, RealFft};
 pub use hosking::{
     regularize_to_pd, HoskingSampler, HoskingStep, NonPdPolicy, PreparedHosking, TruncatedHosking,
 };

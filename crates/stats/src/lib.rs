@@ -48,14 +48,14 @@ pub use fitting::{fit_composite, refine_mixture, CompositeFit, FitOptions, Mixtu
 pub use histogram::Histogram;
 pub use ks::{ks_distance_sorted, two_sample_ks};
 pub use mavar::{mavar_hurst, mavar_points, MavarEstimate, MavarOptions};
-pub use periodogram::{gph_estimate, periodogram};
+pub use periodogram::{gph_estimate, gph_from_periodogram, periodogram};
 pub use quantiles::{qq_points, quantile_sorted, quantiles};
 pub use regression::{linear_fit, LinearFit};
 pub use rs_analysis::{rs_hurst, rs_pox, RsOptions};
 pub use summary::Summary;
 pub use variance_time::{variance_time_hurst, variance_time_points, VtOptions};
 pub use wavelet::{haar_spectrum, wavelet_hurst, WaveletEstimate};
-pub use whittle::{local_whittle, WhittleEstimate};
+pub use whittle::{local_whittle, local_whittle_from_periodogram, WhittleEstimate};
 
 /// Errors produced by the estimators in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@
 
 use crate::regression::linear_fit;
 use crate::StatsError;
-use svbr_lrd::fft::{fft, next_power_of_two, Complex};
+use svbr_lrd::fft::{next_power_of_two, RealFft};
 
 /// The periodogram `I(λ_j) = |Σ x_t e^{-iλ_j t}|² / (2πn)` at the Fourier
 /// frequencies `λ_j = 2πj/n'`, `j = 1 … n'/2`, where `n'` is the
@@ -28,16 +28,14 @@ pub fn periodogram(xs: &[f64]) -> Result<(Vec<f64>, Vec<f64>), StatsError> {
     let n = xs.len();
     let mean = xs.iter().sum::<f64>() / n as f64;
     let m = next_power_of_two(n);
-    let mut data = vec![Complex::default(); m];
-    for (d, &x) in data.iter_mut().zip(xs.iter()) {
-        *d = Complex::real(x - mean);
-    }
-    fft(&mut data);
+    let centered: Vec<f64> = xs.iter().map(|x| x - mean).collect();
+    let mut data = Vec::new();
+    RealFft::new(m).r2c(&centered, &mut data);
     let scale = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
     let half = m / 2;
     let mut freqs = Vec::with_capacity(half);
     let mut ords = Vec::with_capacity(half);
-    for (j, z) in data.iter().enumerate().take(half + 1).skip(1) {
+    for (j, z) in data.iter().enumerate().skip(1) {
         freqs.push(2.0 * std::f64::consts::PI * j as f64 / m as f64);
         ords.push(z.norm_sqr() * scale);
     }
@@ -61,7 +59,18 @@ pub struct GphEstimate {
 /// A common choice is `m = n^0.5`; pass `None` to use it.
 pub fn gph_estimate(xs: &[f64], m: Option<usize>) -> Result<GphEstimate, StatsError> {
     let (freqs, ords) = periodogram(xs)?;
-    let m = m.unwrap_or_else(|| (xs.len() as f64).sqrt().round() as usize);
+    gph_from_periodogram(&freqs, &ords, xs.len(), m)
+}
+
+/// [`gph_estimate`] on the [`periodogram`] `(freqs, ords)` of a series of
+/// `n` samples, for callers that run several estimators on one periodogram.
+pub fn gph_from_periodogram(
+    freqs: &[f64],
+    ords: &[f64],
+    n: usize,
+    m: Option<usize>,
+) -> Result<GphEstimate, StatsError> {
+    let m = m.unwrap_or_else(|| (n as f64).sqrt().round() as usize);
     let m = m.min(freqs.len());
     if m < 4 {
         return Err(StatsError::InvalidParameter {

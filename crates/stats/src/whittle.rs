@@ -31,8 +31,19 @@ pub struct WhittleEstimate {
 /// (`None` → `n^0.65`, a common bandwidth choice).
 pub fn local_whittle(xs: &[f64], m: Option<usize>) -> Result<WhittleEstimate, StatsError> {
     let (freqs, ords) = periodogram(xs)?;
+    local_whittle_from_periodogram(&freqs, &ords, xs.len(), m)
+}
+
+/// [`local_whittle`] on the [`periodogram`] `(freqs, ords)` of a series of
+/// `n` samples, for callers that run several estimators on one periodogram.
+pub fn local_whittle_from_periodogram(
+    freqs: &[f64],
+    ords: &[f64],
+    n: usize,
+    m: Option<usize>,
+) -> Result<WhittleEstimate, StatsError> {
     let m = m
-        .unwrap_or_else(|| (xs.len() as f64).powf(0.65).round() as usize)
+        .unwrap_or_else(|| (n as f64).powf(0.65).round() as usize)
         .min(freqs.len());
     if m < 8 {
         return Err(StatsError::InvalidParameter {
