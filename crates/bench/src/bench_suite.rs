@@ -114,7 +114,7 @@ pub struct BenchReport {
 
 /// Collect host metadata (best effort; every field degrades to
 /// `"unknown"` rather than failing the run).
-pub fn host_info() -> HostInfo {
+fn host_info() -> HostInfo {
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|s| {
@@ -142,7 +142,7 @@ pub fn host_info() -> HostInfo {
 }
 
 /// Current Unix time in seconds (0 if the clock is before the epoch).
-pub fn unix_timestamp_secs() -> u64 {
+fn unix_timestamp_secs() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())

@@ -1,5 +1,5 @@
 //! `ablation` — accuracy ablations for the design choices DESIGN.md calls
-//! out. Criterion measures *speed*; this binary measures *fidelity*:
+//! out. `repro bench` measures *speed*; this binary measures *fidelity*:
 //!
 //! 1. **Attenuation compensation on/off** (§3.2 Step 4): how far the
 //!    foreground ACF lands from the fitted target with and without the

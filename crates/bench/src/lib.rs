@@ -21,11 +21,10 @@
 //! | `SVBR_THREADS`    | #cores   | worker threads for replicated experiments  |
 //! | `SVBR_FAST`       | unset    | `1` → divide reps by 10 and trace by 4     |
 //!
-//! The Criterion benches (`generators`, `estimators`, `queueing`,
-//! `rare_event`) measure the ablations DESIGN.md calls out: exact-O(n²)
-//! Hosking vs exact-O(n log n) Davies–Harte vs truncated AR(M); direct vs
-//! FFT ACF estimation; queue-recursion throughput; IS vs plain MC
-//! time-to-accuracy.
+//! `repro bench` ([`bench_suite`]) measures the throughput side of the
+//! ablations DESIGN.md calls out: exact-O(n²) Hosking vs exact-O(n log n)
+//! Davies–Harte vs truncated AR(M), queue-recursion throughput and the IS
+//! estimator, recorded in `BENCH_svbr.json`.
 
 #![forbid(unsafe_code)]
 

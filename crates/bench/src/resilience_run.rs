@@ -11,20 +11,22 @@
 //! and `repro --resume <ckpt>` continues a killed run to byte-identical
 //! final CSVs — the CI kill-and-resume job asserts exactly that.
 //!
-//! The generator walks the degradation ladder (Hosking exact → truncated
-//! AR → Davies–Harte per-chunk blocks) under deadline pressure; the chosen
-//! tier and its measured ACF error are stamped into the metrics and the
-//! run manifest. Fault points (`chunk`, `arrivals`, `acf`, `is`) are
-//! probed so a [`FaultPlan`] can deterministically exercise every recovery
-//! path.
+//! The background comes from svbr-serve's chunk generator
+//! ([`svbr_serve::generate_chunk`]) and its generation state
+//! ([`GenState`], checkpointed through [`GenState::write_into`]), so this
+//! run and a served stream share one implementation of every tier. The
+//! generator walks the degradation ladder (Hosking exact → truncated AR on
+//! the last p samples → Davies–Harte per-chunk blocks) under deadline
+//! pressure; the chosen tier and its measured ACF error are stamped into
+//! the metrics and the run manifest. Fault points (`chunk`, `arrivals`,
+//! `acf`, `is`) are probed so a [`svbr_resilience::FaultPlan`] can
+//! deterministically exercise every recovery path.
 
 use crate::Csv;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 use svbr::lrd::acf::{Acf, FgnAcf, TabulatedAcf};
-use svbr::lrd::davies_harte::DaviesHarte;
-use svbr::lrd::hosking::{HoskingSampler, NonPdPolicy};
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::{Lognormal, Marginal};
 use svbr::queue::{validate_arrivals, LindleyQueue};
@@ -32,8 +34,8 @@ use svbr_resilience::checkpoint::Checkpoint;
 use svbr_resilience::degrade::{prepare_table, sample_acf_error, GeneratorTier, Ladder};
 use svbr_resilience::fault::{self, FaultKind};
 use svbr_resilience::record_event;
-use svbr_resilience::rng::{CkptNormal, CkptRng};
 use svbr_resilience::supervisor::{Deadline, RetryPolicy, Supervisor};
+use svbr_serve::{generate_chunk, GenState};
 
 type AnyResult = Result<(), Box<dyn std::error::Error>>;
 type AnyError = Box<dyn std::error::Error>;
@@ -116,60 +118,40 @@ struct ChunkRow {
 }
 
 /// The full committed state of the run: everything a checkpoint carries
-/// and everything a retried chunk restarts from.
+/// and everything a retried chunk restarts from. `gen` is svbr-serve's
+/// generation state; its `delivered` cursor counts committed chunks.
 #[derive(Debug, Clone)]
 struct RunState {
-    rng: [u64; 4],
-    spare: Option<f64>,
-    history: Vec<f64>,
-    phi: Vec<f64>,
-    v: f64,
+    gen: GenState,
     backlog: f64,
     slots: u64,
     sum_y: f64,
     sumsq_y: f64,
     overflows: [u64; 3],
     rows: Vec<ChunkRow>,
-    chunks_done: u64,
-    tier: GeneratorTier,
 }
 
 impl RunState {
     fn fresh(seed: u64) -> Self {
-        use rand::SeedableRng;
         Self {
-            rng: CkptRng::seed_from_u64(seed).state(),
-            spare: None,
-            history: Vec::new(),
-            phi: Vec::new(),
-            v: 1.0,
+            gen: GenState::fresh(seed),
             backlog: 0.0,
             slots: 0,
             sum_y: 0.0,
             sumsq_y: 0.0,
             overflows: [0; 3],
             rows: Vec::new(),
-            chunks_done: 0,
-            tier: GeneratorTier::HoskingExact,
         }
     }
 
     fn to_checkpoint(&self, seed: u64) -> Checkpoint {
         let mut ck = Checkpoint::new("resilience", seed);
-        ck.cursor = self.chunks_done;
-        ck.set_words("rng", &self.rng);
-        if let Some(spare) = self.spare {
-            ck.set_scalar("normal_spare", spare);
-        }
-        ck.set_vector("history", &self.history);
-        ck.set_vector("phi", &self.phi);
-        ck.set_scalar("v", self.v);
+        self.gen.write_into(&mut ck);
         ck.set_scalar("backlog", self.backlog);
         ck.set_words("slots", &[self.slots]);
         ck.set_scalar("sum_y", self.sum_y);
         ck.set_scalar("sumsq_y", self.sumsq_y);
         ck.set_words("overflows", &self.overflows);
-        ck.set_words("tier", &[self.tier.index()]);
         ck.set_words(
             "row_chunk",
             &self.rows.iter().map(|r| r.chunk).collect::<Vec<_>>(),
@@ -194,20 +176,10 @@ impl RunState {
     }
 
     fn from_checkpoint(ck: &Checkpoint) -> Result<Self, AnyError> {
-        let rng_words = ck.require_words("rng")?;
-        if rng_words.len() != 4 {
-            return Err("checkpoint: rng state must be 4 words".into());
-        }
         let overflow_words = ck.require_words("overflows")?;
         if overflow_words.len() != 3 {
             return Err("checkpoint: overflows must be 3 words".into());
         }
-        let tier_words = ck.require_words("tier")?;
-        let tier = tier_words
-            .first()
-            .copied()
-            .and_then(GeneratorTier::from_index)
-            .ok_or("checkpoint: bad generator tier index")?;
         let chunks = ck.require_words("row_chunk")?.to_vec();
         let tiers = ck.require_words("row_tier")?.to_vec();
         let over0s = ck.require_words("row_over0")?.to_vec();
@@ -228,24 +200,16 @@ impl RunState {
                 over0: over0s[i],
             })
             .collect();
-        let mut rng = [0u64; 4];
-        rng.copy_from_slice(rng_words);
         let mut overflows = [0u64; 3];
         overflows.copy_from_slice(overflow_words);
         Ok(Self {
-            rng,
-            spare: ck.scalar("normal_spare"),
-            history: ck.require_vector("history")?.to_vec(),
-            phi: ck.require_vector("phi")?.to_vec(),
-            v: ck.require_scalar("v")?,
+            gen: GenState::read_from(ck)?,
             backlog: ck.require_scalar("backlog")?,
             slots: ck.require_words("slots")?.first().copied().unwrap_or(0),
             sum_y: ck.require_scalar("sum_y")?,
             sumsq_y: ck.require_scalar("sumsq_y")?,
             overflows,
             rows,
-            chunks_done: ck.cursor,
-            tier,
         })
     }
 }
@@ -253,7 +217,10 @@ impl RunState {
 /// Execute one chunk against a clone of the committed state; returns the
 /// new committed state. Restartable by construction: every mutation lands
 /// on the clone, so a panic or error discards the half-done attempt.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the model (table, transform, service, buffers, chunk length) is fixed for the run; a struct built once to bundle it would only rename the arguments"
+)]
 fn run_chunk(
     committed: &RunState,
     tier: GeneratorTier,
@@ -268,61 +235,7 @@ fn run_chunk(
     if attempt == 0 && inject == Some(FaultKind::Panic) {
         panic!("injected chunk panic");
     }
-    let mut st = committed.clone();
-    let mut rng = CkptRng::from_state(st.rng);
-    let mut normal = CkptNormal { spare: st.spare };
-
-    let xs: Vec<f64> = match tier {
-        GeneratorTier::HoskingExact => {
-            let mut sampler = HoskingSampler::resume(
-                table,
-                NonPdPolicy::Error,
-                std::mem::take(&mut st.history),
-                std::mem::take(&mut st.phi),
-                st.v,
-                None,
-            )?;
-            let mut out = Vec::with_capacity(chunk_len);
-            for _ in 0..chunk_len {
-                let m = sampler.next_moments()?;
-                let x = normal.sample_with(&mut rng, m.mean, m.var);
-                sampler.push(x);
-                out.push(x);
-            }
-            st.phi = sampler.phi().to_vec();
-            st.v = sampler.innovation_variance();
-            st.history = sampler.history().to_vec();
-            out
-        }
-        GeneratorTier::TruncatedAr => {
-            // Frozen-coefficient AR(p) continuation: regress on the last
-            // p values with the φ/v captured when the ladder stepped down.
-            let p = st.phi.len();
-            let mut out = Vec::with_capacity(chunk_len);
-            for _ in 0..chunk_len {
-                let k = st.history.len();
-                let depth = p.min(k);
-                let mut mean = 0.0;
-                for j in 1..=depth {
-                    mean += st.phi[j - 1] * st.history[k - j];
-                }
-                let x = normal.sample_with(&mut rng, mean, st.v);
-                st.history.push(x);
-                out.push(x);
-            }
-            out
-        }
-        GeneratorTier::DaviesHarte => {
-            // Independent exact-ACF block per chunk; cross-chunk
-            // correlation is sacrificed and recorded as the tier's caveat.
-            let dh = DaviesHarte::new_approx(table, chunk_len, 5e-2)?;
-            let block = dh.generate(&mut rng);
-            st.history.extend_from_slice(&block);
-            block
-        }
-    };
-
-    let mut ys = transform.apply_slice(&xs);
+    let (gen, mut ys) = generate_chunk(&committed.gen, tier, table, transform, chunk_len)?;
     if attempt == 0 && inject == Some(FaultKind::NanSample) {
         ys[0] = f64::NAN;
     }
@@ -331,6 +244,11 @@ fn run_chunk(
     // the supervisor then retries from committed state.
     validate_arrivals(&ys)?;
 
+    let mut st = RunState {
+        gen,
+        rows: committed.rows.clone(),
+        ..*committed
+    };
     let mut queue = LindleyQueue::with_initial(service, st.backlog)?;
     let mut over = [0u64; 3];
     let mut sum = 0.0;
@@ -353,16 +271,12 @@ fn run_chunk(
         *total += chunk_over;
     }
     st.rows.push(ChunkRow {
-        chunk: committed.chunks_done,
+        chunk: committed.gen.delivered,
         tier: tier.index(),
         mean: sum / chunk_len as f64,
         q_end: st.backlog,
         over0: over[0],
     });
-    st.chunks_done += 1;
-    st.tier = tier;
-    st.rng = rng.state();
-    st.spare = normal.spare;
     Ok(st)
 }
 
@@ -412,13 +326,13 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
             record_event(format!(
                 "resumed: checkpoint {} at chunk {}",
                 path.display(),
-                st.chunks_done
+                st.gen.delivered
             ));
             writeln!(
                 out,
                 "resumed from {} at chunk {}",
                 path.display(),
-                st.chunks_done
+                st.gen.delivered
             )?;
             st
         }
@@ -441,10 +355,10 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
         max_retries: 2,
         deadline,
     });
-    let mut ladder = Ladder::from_tier(state.tier);
+    let mut ladder = Ladder::from_tier(state.gen.tier);
     svbr_obsv::gauge("resilience.tier").set(ladder.tier().index() as f64);
 
-    while state.chunks_done < cfg.chunks {
+    while state.gen.delivered < cfg.chunks {
         // Deadline pressure: with less than half the budget left and work
         // remaining, step down one generator tier before the next chunk.
         if let (Some(d), Some(ms)) = (&deadline, cfg.deadline_ms) {
@@ -458,7 +372,7 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
         }
         let arrivals_fault = fault::probe("arrivals");
         let tier = ladder.tier();
-        let site = format!("chunk-{}", state.chunks_done);
+        let site = format!("chunk-{}", state.gen.delivered);
         let committed = &state;
         let next = supervisor.run(&site, |attempt| {
             let inject = match (injected, arrivals_fault) {
@@ -482,22 +396,24 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
         svbr_obsv::counter("resilience.chunks_committed").add(1);
 
         if let Some(path) = &cfg.checkpoint {
-            if state.chunks_done.is_multiple_of(cfg.ckpt_every) || state.chunks_done == cfg.chunks {
+            if state.gen.delivered.is_multiple_of(cfg.ckpt_every)
+                || state.gen.delivered == cfg.chunks
+            {
                 state.to_checkpoint(cfg.seed).write_atomic(path)?;
             }
         }
-        if cfg.stop_after == Some(state.chunks_done) {
+        if cfg.stop_after == Some(state.gen.delivered) {
             writeln!(
                 out,
                 "stopping after chunk {} (simulated crash; no CSVs written)",
-                state.chunks_done
+                state.gen.delivered
             )?;
             return Ok(());
         }
     }
 
     // --- numerical-health summary + final IS stage -----------------------
-    let acf_err = sample_acf_error(&state.history, &table, 20);
+    let acf_err = sample_acf_error(&state.gen.history, &table, 20);
     svbr_obsv::gauge("resilience.tier_acf_error").set(acf_err);
     let n = state.slots as f64;
     let mean_y = state.sum_y / n;
@@ -569,7 +485,7 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
         format!("{}", state.overflows[0] as f64 / n),
         format!("{is_p}"),
         is_degraded.to_string(),
-        state.tier.index().to_string(),
+        state.gen.tier.index().to_string(),
         format!("{acf_err}"),
     ])?;
     let summary_path = summary.finish()?;
@@ -577,9 +493,9 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
     writeln!(
         out,
         "{} chunks x {} slots on tier `{}`: mean {:.4}, Pr(Q > b0) = {:.4}, IS p = {:.3e}{}",
-        state.chunks_done,
+        state.gen.delivered,
         cfg.chunk_len,
-        state.tier.name(),
+        state.gen.tier.name(),
         mean_y,
         state.overflows[0] as f64 / n,
         is_p,

@@ -2,7 +2,8 @@
 //!
 //! 1. A run interrupted after any committed chunk and resumed from its
 //!    checkpoint produces final CSVs byte-identical to an uninterrupted
-//!    run (the in-process version of the CI kill-and-resume job).
+//!    run (the in-process version of the CI kill-and-resume job), on the
+//!    exact tier and after degrading to truncated AR.
 //! 2. Every injected fault kind ends in a successful supervised retry or
 //!    a recorded degraded-mode result — never a silent wrong answer or an
 //!    unhandled abort.
@@ -15,6 +16,8 @@ use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use svbr_bench::resilience_run::{resilience_run, ResilienceConfig};
+use svbr_resilience::checkpoint::Checkpoint;
+use svbr_resilience::degrade::GeneratorTier;
 use svbr_resilience::fault;
 use svbr_resilience::{drain_events, FaultPlan};
 
@@ -57,53 +60,85 @@ fn interrupted_and_resumed_run_is_byte_identical() -> Result<(), Box<dyn Error>>
     let _guard = GLOBAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    fault::disarm();
     let seed = 0xfeed_f00d;
 
-    // Reference: one uninterrupted run.
-    let ref_dir = fresh_dir("ref")?;
-    run_into(&ref_dir, &base_cfg(seed))?;
+    // Once on the exact tier, and once with injected deadline pressure
+    // before chunk 1, so the crash lands on the truncated-AR tier and the
+    // resume continues there (the checkpointed tier, not the fault plan,
+    // decides the resumed tier).
+    for (name, plan) in [("exact", None), ("trunc-ar", Some("deadline@chunk:2"))] {
+        let arm = || -> Result<(), Box<dyn Error>> {
+            match plan {
+                Some(p) => fault::arm(FaultPlan::parse(p)?),
+                None => fault::disarm(),
+            }
+            Ok(())
+        };
 
-    // Interrupted: stop right after the chunk-2 checkpoint (simulated
-    // crash; no CSVs exist yet), then resume from the checkpoint.
-    let int_dir = fresh_dir("int")?;
-    let ckpt = int_dir.join("ck.txt");
-    let mut crashed = base_cfg(seed);
-    crashed.checkpoint = Some(ckpt.clone());
-    crashed.stop_after = Some(2);
-    let log = run_into(&int_dir, &crashed)?;
-    assert!(log.contains("simulated crash"), "should have stopped early");
-    assert!(ckpt.exists(), "checkpoint must exist after the crash");
-    assert!(
-        !int_dir.join("resilience.csv").exists(),
-        "no CSV may be written before the run completes"
-    );
+        // Reference: one uninterrupted run.
+        let ref_dir = fresh_dir(&format!("{name}-ref"))?;
+        arm()?;
+        run_into(&ref_dir, &base_cfg(seed))?;
 
-    let mut resumed = base_cfg(seed);
-    resumed.checkpoint = Some(ckpt.clone());
-    resumed.resume = Some(ckpt);
-    let log = run_into(&int_dir, &resumed)?;
-    assert!(log.contains("resumed from"), "resume path must be taken");
-
-    for name in ["resilience.csv", "resilience_chunks.csv"] {
-        let a = std::fs::read(ref_dir.join(name))?;
-        let b = std::fs::read(int_dir.join(name))?;
-        assert_eq!(
-            a, b,
-            "{name} differs between uninterrupted and resumed runs"
+        // Interrupted: stop right after the chunk-2 checkpoint (simulated
+        // crash; no CSVs exist yet), then resume from the checkpoint.
+        let int_dir = fresh_dir(&format!("{name}-int"))?;
+        let ckpt = int_dir.join("ck.txt");
+        let mut crashed = base_cfg(seed);
+        crashed.checkpoint = Some(ckpt.clone());
+        crashed.stop_after = Some(2);
+        arm()?;
+        let log = run_into(&int_dir, &crashed)?;
+        fault::disarm();
+        assert!(log.contains("simulated crash"), "should have stopped early");
+        assert!(ckpt.exists(), "checkpoint must exist after the crash");
+        assert!(
+            !int_dir.join("resilience.csv").exists(),
+            "no CSV may be written before the run completes"
         );
-    }
+        if plan.is_some() {
+            // The AR(p) continuation retains only its last p samples.
+            let ck = Checkpoint::load(&ckpt)?;
+            assert_eq!(
+                ck.require_words("tier")?,
+                &[GeneratorTier::TruncatedAr.index()]
+            );
+            let history = ck.require_vector("history")?.len();
+            let p = ck.require_vector("phi")?.len();
+            assert!(
+                p > 0 && history <= p,
+                "checkpoint holds {history} history values for AR({p})"
+            );
+        }
 
-    // Resuming from a missing checkpoint must start fresh, not fail —
-    // a kill can land before the first checkpoint is ever written.
-    let fresh = fresh_dir("fresh")?;
-    let mut cfg = base_cfg(seed);
-    cfg.resume = Some(fresh.join("never-written.txt"));
-    let log = run_into(&fresh, &cfg)?;
-    assert!(log.contains("starting fresh"));
-    let a = std::fs::read(ref_dir.join("resilience.csv"))?;
-    let b = std::fs::read(fresh.join("resilience.csv"))?;
-    assert_eq!(a, b);
+        let mut resumed = base_cfg(seed);
+        resumed.checkpoint = Some(ckpt.clone());
+        resumed.resume = Some(ckpt);
+        let log = run_into(&int_dir, &resumed)?;
+        assert!(log.contains("resumed from"), "resume path must be taken");
+
+        for file in ["resilience.csv", "resilience_chunks.csv"] {
+            let a = std::fs::read(ref_dir.join(file))?;
+            let b = std::fs::read(int_dir.join(file))?;
+            assert_eq!(
+                a, b,
+                "{name}: {file} differs between uninterrupted and resumed runs"
+            );
+        }
+
+        // Resuming from a missing checkpoint must start fresh, not fail —
+        // a kill can land before the first checkpoint is ever written.
+        let fresh = fresh_dir(&format!("{name}-fresh"))?;
+        let mut cfg = base_cfg(seed);
+        cfg.resume = Some(fresh.join("never-written.txt"));
+        arm()?;
+        let log = run_into(&fresh, &cfg)?;
+        fault::disarm();
+        assert!(log.contains("starting fresh"));
+        let a = std::fs::read(ref_dir.join("resilience.csv"))?;
+        let b = std::fs::read(fresh.join("resilience.csv"))?;
+        assert_eq!(a, b, "{name}: a fresh start differs from the reference");
+    }
     drain_events();
     Ok(())
 }

@@ -208,7 +208,6 @@ pub struct IsEstimator<M> {
 impl<M: Marginal> IsEstimator<M> {
     /// Build from the background ACF (twisting happens on this process),
     /// the foreground transform, and the queueing configuration.
-    #[allow(clippy::too_many_arguments)]
     pub fn new<A: Acf>(
         acf: A,
         horizon: usize,

@@ -50,7 +50,10 @@ impl TwistPoint {
 /// Errors with [`IsError::InvalidParameter`] on an empty or non-finite
 /// twist list or `n_reps == 0`, and with [`IsError::Domain`] on an invalid
 /// horizon, service rate or buffer.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the IS system (ACF, horizon, transform, service, buffer, event) plus the search grid and its seeding; mirrors IsEstimator::new and run_parallel"
+)]
 pub fn valley_search<A: Acf, M: Marginal + Sync>(
     acf: A,
     horizon: usize,

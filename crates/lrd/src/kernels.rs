@@ -6,8 +6,9 @@
 //! `chunks_exact` blocks — the shape LLVM auto-vectorizes to packed SIMD
 //! without target-specific intrinsics — and are shared by every consumer
 //! ([`crate::hosking::HoskingSampler`], [`crate::hosking::PreparedHosking`],
-//! [`crate::hosking::TruncatedHosking`], and the serve tier's truncated-AR
-//! arm), so the cross-path bit-identity tests (prepared vs incremental,
+//! [`crate::hosking::TruncatedHosking`], and the truncated-AR arm of
+//! `svbr_serve::generate_chunk`, which serve sessions and `repro
+//! resilience` both generate through), so the cross-path bit-identity tests (prepared vs incremental,
 //! cached vs streaming, resumed vs continuous) keep holding by
 //! construction.
 //!

@@ -97,6 +97,8 @@ impl SessionState {
 
 /// The full committed generation state of a session — everything a
 /// checkpoint carries and everything a retried chunk restarts from.
+/// `repro resilience` drives its background through the same state and
+/// [`generate_chunk`], so the workspace has one chunk generator per tier.
 #[derive(Debug, PartialEq)]
 pub struct GenState {
     /// xoshiro256++ state words.
@@ -160,7 +162,6 @@ impl GenState {
     /// Serialize spec + state into an atomic checkpoint.
     pub fn to_checkpoint(&self, spec: &SessionSpec) -> Checkpoint {
         let mut ck = Checkpoint::new(CKPT_NAME, spec.seed);
-        ck.cursor = self.delivered;
         ck.set_words(
             "spec",
             &[
@@ -171,14 +172,7 @@ impl GenState {
                 spec.deadline_ms.map_or(0, |ms| ms + 1),
             ],
         );
-        ck.set_words("rng", &self.rng);
-        if let Some(spare) = self.spare {
-            ck.set_scalar("normal_spare", spare);
-        }
-        ck.set_vector("history", &self.history);
-        ck.set_vector("phi", &self.phi);
-        ck.set_scalar("v", self.v);
-        ck.set_words("tier", &[self.tier.index()]);
+        self.write_into(&mut ck);
         ck
     }
 
@@ -197,6 +191,35 @@ impl GenState {
                 "checkpoint: spec must be 4 words".into(),
             ));
         }
+        let spec = SessionSpec {
+            id: spec_words[0],
+            seed: ck.seed,
+            chunk_len: spec_words[1] as usize,
+            chunks: spec_words[2],
+            deadline_ms: spec_words[3].checked_sub(1),
+        };
+        Ok((spec, GenState::read_from(ck)?))
+    }
+
+    /// Write the generation state (the cursor plus the `rng`,
+    /// `normal_spare`, `history`, `phi`, `v` and `tier` sections) into a
+    /// checkpoint. Every chunked run that generates through
+    /// [`generate_chunk`] — serve sessions and `repro resilience` — carries
+    /// its state in these sections, next to its own.
+    pub fn write_into(&self, ck: &mut Checkpoint) {
+        ck.cursor = self.delivered;
+        ck.set_words("rng", &self.rng);
+        if let Some(spare) = self.spare {
+            ck.set_scalar("normal_spare", spare);
+        }
+        ck.set_vector("history", &self.history);
+        ck.set_vector("phi", &self.phi);
+        ck.set_scalar("v", self.v);
+        ck.set_words("tier", &[self.tier.index()]);
+    }
+
+    /// Restore the generation state written by [`GenState::write_into`].
+    pub fn read_from(ck: &Checkpoint) -> Result<GenState, ServeError> {
         let rng_words = ck.require_words("rng")?;
         if rng_words.len() != 4 {
             return Err(ServeError::BadRequest(
@@ -209,16 +232,9 @@ impl GenState {
             .copied()
             .and_then(GeneratorTier::from_index)
             .ok_or_else(|| ServeError::BadRequest("checkpoint: bad generator tier".into()))?;
-        let spec = SessionSpec {
-            id: spec_words[0],
-            seed: ck.seed,
-            chunk_len: spec_words[1] as usize,
-            chunks: spec_words[2],
-            deadline_ms: spec_words[3].checked_sub(1),
-        };
         let mut rng = [0u64; 4];
         rng.copy_from_slice(rng_words);
-        let state = GenState {
+        Ok(GenState {
             rng,
             spare: ck.scalar("normal_spare"),
             history: ck.require_vector("history")?.to_vec(),
@@ -226,8 +242,7 @@ impl GenState {
             v: ck.require_scalar("v")?,
             tier,
             delivered: ck.cursor,
-        };
-        Ok((spec, state))
+        })
     }
 }
 
