@@ -24,7 +24,7 @@ use svbr::lrd::fft::Complex;
 use svbr::lrd::hosking::{HoskingSampler, TruncatedHosking};
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::Lognormal;
-use svbr::marginal::{BinnedEmpirical, Gamma, Marginal, TabulatedEmpirical, TabulatedTransform};
+use svbr::marginal::{BinnedEmpirical, Gamma, Marginal, TabulatedTransform};
 use svbr::queue::lindley::{LindleyLanes, LindleyQueue, LANES};
 use svbr_obsv::Stopwatch;
 use svbr_resilience::degrade::{prepare_table, GeneratorTier};
@@ -228,16 +228,10 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
             iters: scale(5, 3),
             threads: 4,
         },
-        // Empirical (histogram-inversion) marginal: per-sample binary
-        // search vs. the precomputed quantile bracket table.
+        // Empirical (histogram-inversion) marginal: the grid-bracketed
+        // quantile lookup.
         CaseSpec {
             name: "inverse_cdf_empirical",
-            n: scale(65_536, 8192),
-            iters: scale(20, 5),
-            threads: 1,
-        },
-        CaseSpec {
-            name: "inverse_cdf_tabulated",
             n: scale(65_536, 8192),
             iters: scale(20, 5),
             threads: 1,
@@ -476,16 +470,16 @@ pub fn run_suite(
                     assert!(paths.iter().all(|p| p.len() == path_len));
                 })
             }
-            "inverse_cdf_empirical" | "inverse_cdf_tabulated" => {
+            "inverse_cdf_empirical" => {
                 // The paper's own marginal choice — inverting the empirical
                 // histogram. Samples synthesized at deterministic Gamma
                 // quantile ranks so the histogram is identical every run;
                 // trace-sized bin count (the paper inverts the empirical
-                // CDF of a 238k-frame trace), so the per-sample binary
-                // search is ~11 levels deep — the cost the bracket table
-                // removes. Probabilities Φ(x) are precomputed so the timed
-                // region is purely the F⁻¹ evaluation both cases share
-                // with `GaussianTransform::apply`.
+                // CDF of a 238k-frame trace), which a binary search would
+                // descend ~11 levels — the cost the quantile grid removes.
+                // Probabilities Φ(x) are precomputed so the timed region is
+                // purely the F⁻¹ evaluation `GaussianTransform::apply`
+                // runs after Φ.
                 let gamma = Gamma::new(2.0, 1.5)?;
                 let samples: Vec<f64> = (1..=50_000)
                     .map(|i| gamma.quantile(i as f64 / 50_001.0))
@@ -497,20 +491,13 @@ pub fn run_suite(
                     .iter()
                     .map(|&x| svbr::marginal::norm_cdf(x))
                     .collect();
-                let time_quantiles = |m: &dyn Marginal| {
-                    measure(spec, || {
-                        let mut acc = 0.0f64;
-                        for &u in &us {
-                            acc += m.quantile(u);
-                        }
-                        assert!(acc.is_finite());
-                    })
-                };
-                if spec.name == "inverse_cdf_tabulated" {
-                    time_quantiles(&TabulatedEmpirical::new(binned))
-                } else {
-                    time_quantiles(&binned)
-                }
+                measure(spec, || {
+                    let mut acc = 0.0f64;
+                    for &u in &us {
+                        acc += binned.quantile(u);
+                    }
+                    assert!(acc.is_finite());
+                })
             }
             "serve_chunk_generate" | "serve_chunk_generate_dh" => {
                 // The session worker's inner loop: chunks resumed from

@@ -21,7 +21,7 @@ use svbr_lrd::cache::{davies_harte_cached, hosking_coefficients, CachedHosking};
 use svbr_lrd::davies_harte::pd_project;
 use svbr_lrd::hosking::HoskingSampler;
 use svbr_marginal::transform::GaussianTransform;
-use svbr_marginal::{BinnedEmpirical, TabulatedEmpirical};
+use svbr_marginal::BinnedEmpirical;
 use svbr_video::{FrameTrace, FrameType, GopPattern};
 
 /// Options for fitting the composite I-B-P model.
@@ -145,11 +145,10 @@ impl CompositeVideoFit {
     /// The background path is inherently sequential, so it is drawn from a
     /// single `StdRng` seeded with `svbr_par::derive_seed(master_seed, 0)`;
     /// the per-frame inverse-CDF transform — the per-sample hot path — is
-    /// sharded over `threads` workers, with the per-type quantile bracket
-    /// tables ([`TabulatedEmpirical`]) replacing the per-sample binary
-    /// search. Bracket-table quantiles are bit-identical to the binary
-    /// search, so the trace is **bit-identical for any thread count** and
-    /// to [`Self::generate`] handed an `StdRng` at the same derived seed.
+    /// sharded over `threads` workers, each sample transformed
+    /// independently, so the trace is **bit-identical for any thread
+    /// count** and to [`Self::generate`] handed an `StdRng` at the same
+    /// derived seed.
     pub fn generate_seeded(
         &self,
         n: usize,
@@ -159,9 +158,9 @@ impl CompositeVideoFit {
     ) -> Result<FrameTrace, CoreError> {
         let mut rng = StdRng::seed_from_u64(svbr_par::derive_seed(master_seed, 0));
         let xs = self.background_path(n, fast, &mut rng)?;
-        let t_i = GaussianTransform::new(TabulatedEmpirical::new(self.marginal_i.clone()));
-        let t_p = GaussianTransform::new(TabulatedEmpirical::new(self.marginal_p.clone()));
-        let t_b = GaussianTransform::new(TabulatedEmpirical::new(self.marginal_b.clone()));
+        let t_i = GaussianTransform::new(&self.marginal_i);
+        let t_p = GaussianTransform::new(&self.marginal_p);
+        let t_b = GaussianTransform::new(&self.marginal_b);
         let sizes: Vec<u32> = svbr_par::par_map_blocks(n, threads, |range| {
             range
                 .map(|k| {

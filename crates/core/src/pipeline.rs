@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use svbr_lrd::acf::{
     Acf, CompensatedAcf, CompositeAcf, ExpTerm, ExponentialAcf, FgnAcf, TabulatedAcf,
 };
-use svbr_lrd::cache::{davies_harte_cached, hosking_coefficients, CachedHosking};
+use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
 use svbr_lrd::davies_harte::{pd_project, DaviesHarte};
 use svbr_lrd::fft::Complex;
 use svbr_lrd::hosking::HoskingSampler;
@@ -251,10 +251,10 @@ impl UnifiedFit {
     /// sub-schedule rooted at `svbr_par::derive_seed(master_seed, j)`, with
     /// replication `i` drawing from `derive_seed(sub, i)`; per-replication
     /// sample ACFs are averaged in replication-index order, so the accepted
-    /// trajectory is **bit-identical for any thread count**. The
-    /// Davies–Harte eigenvalue setup is fetched from the process cache
-    /// ([`davies_harte_cached`]), so repeated refinements over the same
-    /// model skip the circulant FFT.
+    /// trajectory is **bit-identical for any thread count**. Each
+    /// iteration builds its own Davies–Harte sampler, shared by its
+    /// workers: a new candidate `a` changes the ACF, so the set-up never
+    /// recurs and is kept out of the process cache.
     pub fn refine_attenuation_seeded(
         &mut self,
         opts: &RefineOptions,
@@ -265,7 +265,7 @@ impl UnifiedFit {
         let reps = opts.reps.max(1);
         let path_len = opts.path_len;
         self.refine_with(opts, |model, hi, iter_no| {
-            let dh = davies_harte_cached(model, path_len, 5e-2)?;
+            let dh = DaviesHarte::new_approx(model, path_len, 5e-2)?;
             let sub_seed = svbr_par::derive_seed(master_seed, iter_no as u64);
             let per_rep = svbr_par::par_map_blocks(reps, threads, |range| {
                 // Per-worker arena: the generate/transform buffers warm up

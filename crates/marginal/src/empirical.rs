@@ -8,12 +8,9 @@
 //!   interpolate between order statistics. Exact but needs the full sample.
 //! * [`BinnedEmpirical`] — built from a histogram (bin edges + counts);
 //!   the CDF is piecewise linear across bins. This is what a practical
-//!   traffic modeler stores and what Figs. 1–2 of the paper depict.
-//! * [`TabulatedEmpirical`] — a [`BinnedEmpirical`] plus a precomputed
-//!   monotone bracket table over a uniform p-grid, replacing the
-//!   per-sample binary search of the inverse-CDF transform
-//!   `Y = F_Y⁻¹(Φ(X))` with an O(1) grid lookup — **bit-identical**
-//!   quantiles, built once and shared across replications.
+//!   traffic modeler stores and what Figs. 1–2 of the paper depict. Its
+//!   quantile, the inner loop of the inverse-CDF transform
+//!   `Y = F_Y⁻¹(Φ(X))`, is an O(1) grid lookup plus a short monotone scan.
 
 use crate::{Marginal, MarginalError};
 
@@ -100,13 +97,43 @@ impl Marginal for EmpiricalCdf {
 /// per-bin counts. The CDF rises linearly across each bin (i.e. mass is
 /// uniform within a bin), which makes the inverse continuous — the property
 /// the paper's transform `h` needs to look like Fig. 2.
+///
+/// The quantile needs the first edge whose cumulative probability reaches
+/// `p`. Rather than binary-search `cum` on every call, construction
+/// precomputes a uniform grid over `p ∈ [0, 1]` whose cell `g` stores the
+/// search's answer at the cell's lower bound (`partition_point(cum, g/G)`).
+/// Because `cum` is nondecreasing, the answer for any `p` in the cell lies
+/// at most a few entries to the right, so a lookup plus a short monotone
+/// scan replaces the search. The scan stops at **exactly** the index the
+/// binary search returns, so quantiles are bit-identical to it (tested).
 #[derive(Debug, Clone)]
 pub struct BinnedEmpirical {
     edges: Vec<f64>,
     /// Cumulative probability at each edge (cum[0] = 0, cum[B] = 1).
     cum: Vec<f64>,
+    /// `grid[g] = cum.partition_point(|c| c < g / grid.len())`,
+    /// nondecreasing.
+    grid: Vec<u32>,
     mean: f64,
     variance: f64,
+}
+
+/// Quantile grid density: cells per histogram bin. At 4× the expected
+/// monotone scan length is well under one step.
+const QUANTILE_GRID_CELLS_PER_BIN: usize = 4;
+
+/// Minimum quantile grid size, so coarse histograms still get O(1) lookups.
+const QUANTILE_GRID_MIN_CELLS: usize = 64;
+
+/// The quantile bracket grid of `cum` with `cells` cells (at least 1).
+fn quantile_grid(cum: &[f64], cells: usize) -> Vec<u32> {
+    let cells = cells.max(1);
+    (0..cells)
+        .map(|g| {
+            let p0 = g as f64 / cells as f64;
+            cum.partition_point(|&c| c < p0) as u32
+        })
+        .collect()
 }
 
 impl BinnedEmpirical {
@@ -150,9 +177,12 @@ impl BinnedEmpirical {
             mean += w * mid;
             m2 += w * (a * a + a * b + b * b) / 3.0;
         }
+        let cells = (counts.len() * QUANTILE_GRID_CELLS_PER_BIN).max(QUANTILE_GRID_MIN_CELLS);
+        let grid = quantile_grid(&cum, cells);
         Ok(Self {
             edges,
             cum,
+            grid,
             mean,
             variance: (m2 - mean * mean).max(0.0),
         })
@@ -232,10 +262,22 @@ impl Marginal for BinnedEmpirical {
             )]
             return *self.edges.last().expect("non-empty");
         }
-        // First edge index with cum >= p; invert linearly within that bin.
-        let i = self.cum.partition_point(|&c| c < p);
+        // First edge index with cum >= p, found from the grid cell's
+        // bracket by a monotone scan (the exact partition point; the
+        // backward step covers the half-ulp case where `p * cells` rounded
+        // up a cell); then invert linearly within that bin.
+        let cells = self.grid.len();
+        let cell = ((p * cells as f64) as usize).min(cells - 1);
+        let cum = &self.cum;
+        let mut i = self.grid[cell] as usize;
+        while i > 0 && cum[i - 1] >= p {
+            i -= 1;
+        }
+        while i < cum.len() && cum[i] < p {
+            i += 1;
+        }
         let i = i.clamp(1, self.edges.len() - 1);
-        let (clo, chi) = (self.cum[i - 1], self.cum[i]);
+        let (clo, chi) = (cum[i - 1], cum[i]);
         if chi <= clo {
             return self.edges[i];
         }
@@ -249,126 +291,6 @@ impl Marginal for BinnedEmpirical {
 
     fn variance(&self) -> f64 {
         self.variance
-    }
-}
-
-/// A [`BinnedEmpirical`] with a precomputed monotone interpolation table
-/// for the inverse CDF.
-///
-/// [`BinnedEmpirical::quantile`] binary-searches the cumulative edge
-/// probabilities on every call — O(log B) with data-dependent branches, in
-/// the innermost loop of the `Y = F_Y⁻¹(Φ(X))` transform. This type
-/// precomputes, once, a uniform grid over `p ∈ [0, 1]` whose cell `g`
-/// stores the binary search's answer at the cell's lower bound
-/// (`partition_point(cum, g/G)`). Because the cumulative probabilities are
-/// nondecreasing, the answer for any `p` inside the cell lies at most a few
-/// entries to the right, so a lookup plus a short monotone scan replaces
-/// the full search.
-///
-/// The scan terminates at **exactly** the index the binary search would
-/// return and then runs the identical clamp/interpolation arithmetic, so
-/// quantiles (and anything built on them, like [`GaussianTransform`]
-/// outputs) are bit-identical to the untabulated path — verified by tests.
-///
-/// [`GaussianTransform`]: crate::transform::GaussianTransform
-#[derive(Debug, Clone)]
-pub struct TabulatedEmpirical {
-    base: BinnedEmpirical,
-    /// `grid[g] = cum.partition_point(|c| c < g / cells)`, nondecreasing.
-    grid: Vec<u32>,
-    cells: usize,
-}
-
-/// Default grid density multiplier: cells per histogram bin. At 4× the
-/// expected monotone scan length is well under one step.
-pub const QUANTILE_GRID_CELLS_PER_BIN: usize = 4;
-
-/// Minimum grid size, so coarse histograms still get O(1) lookups.
-pub const QUANTILE_GRID_MIN_CELLS: usize = 64;
-
-impl TabulatedEmpirical {
-    /// Build the table with the default grid density
-    /// ([`QUANTILE_GRID_CELLS_PER_BIN`] cells per bin, at least
-    /// [`QUANTILE_GRID_MIN_CELLS`]).
-    pub fn new(base: BinnedEmpirical) -> Self {
-        let cells = (base.bins() * QUANTILE_GRID_CELLS_PER_BIN).max(QUANTILE_GRID_MIN_CELLS);
-        Self::with_cells(base, cells)
-    }
-
-    /// Build the table with an explicit grid size (`cells >= 1`; 0 is
-    /// treated as 1).
-    pub fn with_cells(base: BinnedEmpirical, cells: usize) -> Self {
-        let cells = cells.max(1);
-        let grid = (0..cells)
-            .map(|g| {
-                let p0 = g as f64 / cells as f64;
-                base.cum.partition_point(|&c| c < p0) as u32
-            })
-            .collect();
-        svbr_obsv::point(
-            "cache.quantile.build",
-            &[("cells", cells as f64), ("bins", base.bins() as f64)],
-        );
-        Self { base, grid, cells }
-    }
-
-    /// The underlying histogram distribution.
-    pub fn base(&self) -> &BinnedEmpirical {
-        &self.base
-    }
-
-    /// Number of grid cells in the interpolation table.
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-}
-
-impl Marginal for TabulatedEmpirical {
-    fn cdf(&self, x: f64) -> f64 {
-        self.base.cdf(x)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        // Mirror BinnedEmpirical::quantile exactly, replacing only the
-        // binary search with the bracketed monotone scan.
-        let p = p.clamp(0.0, 1.0);
-        if p <= 0.0 {
-            return self.base.edges[0];
-        }
-        if p >= 1.0 {
-            #[expect(
-                clippy::expect_used,
-                reason = "constructor rejects histograms with no bins"
-            )]
-            return *self.base.edges.last().expect("non-empty");
-        }
-        let cell = ((p * self.cells as f64) as usize).min(self.cells - 1);
-        // grid[cell] brackets the search result; scan monotonically to the
-        // first cum >= p — the exact partition point. The backward step
-        // covers the half-ulp case where `p * cells` rounded up a cell.
-        let mut i = self.grid[cell] as usize;
-        let cum = &self.base.cum;
-        while i > 0 && cum[i - 1] >= p {
-            i -= 1;
-        }
-        while i < cum.len() && cum[i] < p {
-            i += 1;
-        }
-        let i = i.clamp(1, self.base.edges.len() - 1);
-        let (clo, chi) = (cum[i - 1], cum[i]);
-        if chi <= clo {
-            return self.base.edges[i];
-        }
-        let frac = (p - clo) / (chi - clo);
-        self.base.edges[i - 1] + frac * (self.base.edges[i] - self.base.edges[i - 1])
-    }
-
-    fn mean(&self) -> f64 {
-        self.base.mean()
-    }
-
-    fn variance(&self) -> f64 {
-        self.base.variance()
     }
 }
 
@@ -482,16 +404,37 @@ mod tests {
         assert!(BinnedEmpirical::from_samples(&[1.0, 2.0], 0).is_err());
     }
 
+    /// The quantile by a full binary search over `cum` — what the grid
+    /// lookup must reproduce bit for bit.
+    fn quantile_by_search(d: &BinnedEmpirical, p: f64) -> f64 {
+        let p = p.clamp(0.0, 1.0);
+        let last = d.edges.len() - 1;
+        if p <= 0.0 {
+            return d.edges[0];
+        }
+        if p >= 1.0 {
+            return d.edges[last];
+        }
+        let i = d.cum.partition_point(|&c| c < p).clamp(1, last);
+        let (clo, chi) = (d.cum[i - 1], d.cum[i]);
+        if chi <= clo {
+            return d.edges[i];
+        }
+        let frac = (p - clo) / (chi - clo);
+        d.edges[i - 1] + frac * (d.edges[i] - d.edges[i - 1])
+    }
+
     #[test]
-    fn tabulated_quantile_is_bit_identical_to_binned() -> Result<(), Box<dyn std::error::Error>> {
+    fn grid_quantile_is_bit_identical_to_binary_search() -> Result<(), Box<dyn std::error::Error>> {
         // Adversarial histogram: empty bins (flat CDF runs), uneven masses.
         let base = BinnedEmpirical::new(
             vec![0.0, 0.5, 1.0, 2.0, 2.25, 7.0, 11.0],
             &[3, 0, 17, 1, 0, 4],
         )?;
+        assert_eq!(base.grid.len(), QUANTILE_GRID_MIN_CELLS);
         for cells in [1, 2, 7, 64, 1024] {
-            let tab = TabulatedEmpirical::with_cells(base.clone(), cells);
-            assert_eq!(tab.cells(), cells);
+            let mut d = base.clone();
+            d.grid = quantile_grid(&d.cum, cells);
             // Dense sweep plus the exact cumulative boundaries and their
             // neighbouring representable values.
             let mut ps: Vec<f64> = (0..=100_000).map(|i| i as f64 / 100_000.0).collect();
@@ -501,8 +444,8 @@ mod tests {
             ps.extend([-0.5, 0.0, 1.0, 1.5, 0.1f64.next_down(), 0.1f64.next_up()]);
             for p in ps {
                 assert_eq!(
-                    tab.quantile(p).to_bits(),
-                    base.quantile(p).to_bits(),
+                    d.quantile(p).to_bits(),
+                    quantile_by_search(&d, p).to_bits(),
                     "cells={cells} p={p}"
                 );
             }
@@ -511,23 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn tabulated_delegates_everything_but_quantile() -> Result<(), Box<dyn std::error::Error>> {
-        let base = BinnedEmpirical::new(vec![0.0, 1.0, 2.0, 5.0], &[2, 5, 3])?;
-        let tab = TabulatedEmpirical::new(base.clone());
-        assert_eq!(tab.cdf(1.5).to_bits(), base.cdf(1.5).to_bits());
-        assert_eq!(tab.mean().to_bits(), base.mean().to_bits());
-        assert_eq!(tab.variance().to_bits(), base.variance().to_bits());
-        assert_eq!(tab.base().bins(), 3);
-        // Default sizing: at least the minimum, scaled with bins.
-        assert!(tab.cells() >= QUANTILE_GRID_MIN_CELLS);
+    fn grid_scales_with_bins() -> Result<(), Box<dyn std::error::Error>> {
         let wide = BinnedEmpirical::from_samples(
             &(0..2000).map(|i| (i % 997) as f64).collect::<Vec<_>>(),
             100,
         )?;
-        assert_eq!(
-            TabulatedEmpirical::new(wide).cells(),
-            100 * QUANTILE_GRID_CELLS_PER_BIN
-        );
+        assert_eq!(wide.grid.len(), 100 * QUANTILE_GRID_CELLS_PER_BIN);
         Ok(())
     }
 

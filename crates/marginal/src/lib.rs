@@ -5,7 +5,7 @@
 //! transform `Y = h(X) = F_Y⁻¹(F_X(X))` (eq. 7). This crate provides:
 //!
 //! * [`special`] — the numerical substrate: `ln Γ`, regularized incomplete
-//!   gamma (and its inverse), `erf`/`erfc`, Gauss–Hermite quadrature. All
+//!   gamma (and its inverse), `erfc`, Gauss–Hermite quadrature. All
 //!   hand-rolled; no external numerics dependencies.
 //! * [`normal`] — standard normal CDF `Φ` and quantile `Φ⁻¹` (Acklam's
 //!   rational approximation polished by a Halley step).
@@ -36,7 +36,7 @@ pub mod special;
 pub mod transform;
 
 pub use batch::TabulatedTransform;
-pub use empirical::{BinnedEmpirical, EmpiricalCdf, TabulatedEmpirical};
+pub use empirical::{BinnedEmpirical, EmpiricalCdf};
 pub use gamma::Gamma;
 pub use gamma_pareto::GammaPareto;
 pub use lognormal::Lognormal;

@@ -4,8 +4,12 @@
 use crate::special::erfc;
 use crate::{Marginal, MarginalError};
 
-/// Standard normal CDF `Φ(x)`, accurate to ~1e−13 across the real line
-/// (tails computed via `erfc` to avoid cancellation).
+/// Standard normal CDF `Φ(x) = erfc(−x/√2)/2`, with the left tail computed
+/// via `erfc` directly to avoid cancellation.
+///
+/// Measured against a 50-digit reference (`tests/erfc_reference.rs`):
+/// ≤ 12 ulp on [−3, 8.3]; below −3 the error grows as ~x² ulp (rounding
+/// `x/√2` alone costs that), staying under `4 + 2x²` ulp down to −38.
 pub fn norm_cdf(x: f64) -> f64 {
     let t = x / std::f64::consts::SQRT_2;
     if x >= 0.0 {

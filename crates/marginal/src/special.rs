@@ -1,9 +1,11 @@
 //! Special functions: `ln Γ`, regularized incomplete gamma and its inverse,
-//! `erf`/`erfc`, and Gauss–Hermite quadrature.
+//! `erfc`, and Gauss–Hermite quadrature.
 //!
 //! Everything is implemented from scratch (Lanczos, series/continued
-//! fraction, Newton refinement) so the reproduction carries no numerics
-//! dependencies. Accuracies are ~1e−13 relative over the ranges exercised
+//! fraction, Newton refinement, piecewise rational fits) so the
+//! reproduction carries no numerics dependencies. `erfc` is within 2 ulp
+//! of a 50-digit reference on [−6, 27] (`tests/erfc_reference.rs`); the
+//! incomplete-gamma family is ~1e−13 relative over the ranges exercised
 //! here — orders of magnitude below any statistical error in the paper's
 //! experiments.
 
@@ -204,26 +206,142 @@ pub fn inv_gamma_p(a: f64, p: f64) -> f64 {
     x
 }
 
-/// Error function, via the incomplete gamma identity
-/// `erf(x) = sign(x)·P(½, x²)`.
-pub fn erf(x: f64) -> f64 {
-    // erf(±0) = ±0 exactly; avoids 0/0 in the continued fraction
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        gamma_p(0.5, x * x)
-    } else {
-        -gamma_p(0.5, x * x)
-    }
+/// A 24-bit constant near erf(1): on `0.84375 ≤ |x| < 1.25` the rational
+/// fit models `erf(1 + s) − ERX`, so `PA[0]` ≈ erf(1) − `ERX`.
+const ERX: f64 = 0.8450629115104675;
+/// `erf(x) ≈ x + x·PP(x²)/(1 + x²·QQ(x²))` on `|x| < 0.84375`.
+const PP: [f64; 5] = [
+    0.12837916709551256,
+    -0.3250421072470015,
+    -0.02848174957559851,
+    -0.005770270296489442,
+    -2.3763016656650163e-05,
+];
+const QQ: [f64; 5] = [
+    0.39791722395915535,
+    0.0650222499887673,
+    0.005081306281875766,
+    0.00013249473800432164,
+    -3.960228278775368e-06,
+];
+/// `erf(1 + s) − ERX ≈ PA(s)/(1 + s·QA(s))` on `0.84375 ≤ |x| < 1.25`.
+const PA: [f64; 7] = [
+    -0.0023621185607526594,
+    0.41485611868374833,
+    -0.3722078760357013,
+    0.31834661990116175,
+    -0.11089469428239668,
+    0.035478304325618236,
+    -0.002166375594868791,
+];
+const QA: [f64; 6] = [
+    0.10642088040084423,
+    0.540397917702171,
+    0.07182865441419627,
+    0.12617121980876164,
+    0.01363708391202905,
+    0.011984499846799107,
+];
+/// `x·erfc(x)·e^{x²} ≈ exp(−0.5625 + RA(s)/(1 + s·SA(s)))`, `s = 1/x²`,
+/// on `1.25 ≤ |x| < 1/0.35`.
+const RA: [f64; 8] = [
+    -0.009864944034847148,
+    -0.6938585727071818,
+    -10.558626225323291,
+    -62.375332450326006,
+    -162.39666946257347,
+    -184.60509290671104,
+    -81.2874355063066,
+    -9.814329344169145,
+];
+const SA: [f64; 8] = [
+    19.651271667439257,
+    137.65775414351904,
+    434.56587747522923,
+    645.3872717332679,
+    429.00814002756783,
+    108.63500554177944,
+    6.570249770319282,
+    -0.0604244152148581,
+];
+/// The same tail form as `RA`/`SA` on `1/0.35 ≤ |x| < 28`.
+const RB: [f64; 7] = [
+    -0.0098649429247001,
+    -0.799283237680523,
+    -17.757954917754752,
+    -160.63638485582192,
+    -637.5664433683896,
+    -1025.0951316110772,
+    -483.5191916086514,
+];
+const SB: [f64; 7] = [
+    30.33806074348246,
+    325.7925129965739,
+    1536.729586084437,
+    3199.8582195085955,
+    2553.0504064331644,
+    474.52854120695537,
+    -22.44095244658582,
+];
+
+/// `c[0] + z·(c[1] + z·(… + z·c[n−1]))`.
+#[inline(always)]
+fn horner(c: &[f64], z: f64) -> f64 {
+    c.iter().rev().fold(0.0, |acc, &ci| acc * z + ci)
 }
 
-/// Complementary error function `erfc(x) = 1 − erf(x)`, computed without
-/// cancellation in the right tail via `Q(½, x²)`.
+/// Complementary error function `erfc(x) = 1 − erf(x)`, without
+/// cancellation in the right tail.
+///
+/// Piecewise rational approximations in the style of Cody (1969) and
+/// fdlibm's `s_erf.c`, split at |x| = 0.84375, 1.25, 1/0.35, 6 (left
+/// side: `erfc` rounds to 2 below −6) and 28 (right side: `erfc`
+/// underflows to 0 above 28). In the two tail pieces `erfc(x) =
+/// exp(−x² − 0.5625 + R/S)/x`, with `x²` split exactly as
+/// `z² + (x − z)(x + z)`, `z` = `x` with its low 32 bits cleared, so the
+/// large exponent carries no rounding error. Measured against a 50-digit
+/// reference (`tests/erfc_reference.rs`): ≤ 2 ulp on [−6, 27].
 pub fn erfc(x: f64) -> f64 {
-    if x >= 0.0 {
-        gamma_q(0.5, x * x)
+    if x.is_nan() {
+        return x;
+    }
+    let ax = x.abs();
+    if ax < 0.84375 {
+        if ax < f64::EPSILON / 16.0 {
+            return 1.0 - x;
+        }
+        let z = x * x;
+        let y = horner(&PP, z) / (1.0 + z * horner(&QQ, z));
+        return if x < 0.25 {
+            1.0 - (x + x * y)
+        } else {
+            0.5 - (x * y + (x - 0.5))
+        };
+    }
+    if ax < 1.25 {
+        let s = ax - 1.0;
+        let pq = horner(&PA, s) / (1.0 + s * horner(&QA, s));
+        return if x >= 0.0 {
+            (1.0 - ERX) - pq
+        } else {
+            1.0 + (ERX + pq)
+        };
+    }
+    if ax >= 28.0 || x <= -6.0 {
+        return if x > 0.0 { 0.0 } else { 2.0 };
+    }
+    let s = 1.0 / (ax * ax);
+    let (r, q) = if ax < 1.0 / 0.35 {
+        (horner(&RA, s), 1.0 + s * horner(&SA, s))
     } else {
-        1.0 + gamma_p(0.5, x * x)
+        (horner(&RB, s), 1.0 + s * horner(&SB, s))
+    };
+    let z = f64::from_bits(ax.to_bits() & 0xffff_ffff_0000_0000);
+    let e = (-z * z - 0.5625).exp() * ((z - ax) * (z + ax) + r / q).exp();
+    if x > 0.0 {
+        e / ax
+    } else {
+        2.0 - e / ax
     }
 }
 
@@ -360,18 +478,40 @@ mod tests {
     }
 
     #[test]
-    fn erf_known_values() {
-        close(erf(0.0), 0.0, 0.0);
-        close(erf(1.0), 0.842_700_792_949_715, 1e-12);
-        close(erf(2.0), 0.995_322_265_018_953, 1e-12);
-        close(erf(-1.0), -0.842_700_792_949_715, 1e-12);
+    fn erfc_known_values() {
+        assert_eq!(erfc(0.0), 1.0);
+        close(erfc(1.0), 0.157_299_207_050_285_13, 1e-16);
+        close(erfc(2.0), 0.004_677_734_981_047_266, 1e-18);
+        close(erfc(-1.0), 1.842_700_792_949_715, 1e-15);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+        assert!(erfc(f64::NAN).is_nan());
     }
 
     #[test]
     fn erfc_tail_no_cancellation() {
         // erfc(5) = 1.5374597944280351e-12 — must not be swallowed by 1−erf.
         close(erfc(5.0), 1.537_459_794_428_035e-12, 1e-24);
-        close(erfc(-1.0), 1.0 + erf(1.0), 1e-12);
+        close(erfc(-1.0), 2.0 - erfc(1.0), 1e-15);
+    }
+
+    #[test]
+    fn erfc_matches_incomplete_gamma() {
+        // erfc(x) = Q(½, x²) for x ≥ 0 and 1 + P(½, x²) below: keeps the
+        // incomplete-gamma family honest against the rational fits.
+        for i in -500..=500 {
+            let x = i as f64 / 100.0;
+            let via_gamma = if x >= 0.0 {
+                gamma_q(0.5, x * x)
+            } else {
+                1.0 + gamma_p(0.5, x * x)
+            };
+            let e = erfc(x);
+            assert!(
+                (e - via_gamma).abs() <= 1e-12 * e,
+                "x={x}: erfc {e} vs Q(1/2, x^2) {via_gamma}"
+            );
+        }
     }
 
     #[test]
@@ -449,10 +589,10 @@ mod proptests {
         }
 
         #[test]
-        fn erf_is_odd_and_bounded(x in -6.0f64..6.0) {
-            prop_assert!((erf(x) + erf(-x)).abs() < 1e-12);
-            prop_assert!(erf(x).abs() <= 1.0);
-            prop_assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-10);
+        fn erfc_reflects_and_is_bounded(x in -6.0f64..6.0) {
+            // erf is odd, so erfc(x) + erfc(−x) = 2.
+            prop_assert!((erfc(x) + erfc(-x) - 2.0).abs() < 2e-15);
+            prop_assert!((0.0..=2.0).contains(&erfc(x)));
         }
 
         #[test]
