@@ -161,16 +161,29 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
         CaseSpec {
             name: "davies_harte",
             n: scale(65_536, 8192),
-            iters: scale(20, 5),
+            iters: 20,
             threads: 1,
         },
-        // The planned radix-2 FFT alone (twiddles + bit-reversal
-        // precomputed once, forward+inverse round trip per iteration) —
-        // the kernel every Davies–Harte generation call runs.
+        // The planned radix-4 FFT alone (twiddles precomputed once,
+        // forward+inverse round trip per iteration) — the kernel every
+        // Davies–Harte draw and sample ACF runs — on 64 KiB, 512 KiB and
+        // 4 MiB of data; 2^18 is the paper-size plan.
         CaseSpec {
             name: "fft_planned",
-            n: scale(65_536, 8192),
-            iters: scale(20, 5),
+            n: 1 << 12,
+            iters: scale(50, 20),
+            threads: 1,
+        },
+        CaseSpec {
+            name: "fft_planned",
+            n: 1 << 15,
+            iters: scale(50, 20),
+            threads: 1,
+        },
+        CaseSpec {
+            name: "fft_planned",
+            n: 1 << 18,
+            iters: scale(50, 20),
             threads: 1,
         },
         CaseSpec {
@@ -250,7 +263,7 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
         CaseSpec {
             name: "serve_chunk_generate_dh",
             n: scale(4096, 1024),
-            iters: scale(10, 5),
+            iters: 20,
             threads: 1,
         },
         CaseSpec {
@@ -558,11 +571,24 @@ pub fn run_suite(
             }
             other => return Err(format!("unknown bench case `{other}`").into()),
         };
-        writeln!(
+        write!(
             out,
             "  {:<26} t{:<2} {:>12.0} samples/s   p50 {:>10.0} µs   p95 {:>10.0} µs",
             result.name, result.threads, result.samples_per_sec, result.p50_us, result.p95_us
         )?;
+        if result.name == "fft_planned" {
+            // Two transforms of (n/2)·log₂ n radix-2 butterflies each per
+            // iteration, at the fastest iteration's pace.
+            let butterflies = result.n * result.n.trailing_zeros() as usize;
+            let best_ns = result.n as f64 / result.samples_per_sec * 1e9;
+            write!(
+                out,
+                "   n=2^{} {:.2} ns/butterfly",
+                result.n.trailing_zeros(),
+                best_ns / butterflies as f64
+            )?;
+        }
+        writeln!(out)?;
         cases.push(result);
     }
     // The serve cases also feed the labeled obsv histogram the live

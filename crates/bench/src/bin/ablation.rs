@@ -156,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// the generation stack.
 fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
     use svbr::lrd::acf::FgnAcf;
-    use svbr::lrd::fft::{self, Complex};
+    use svbr::lrd::fft::Complex;
     use svbr::lrd::gauss::Normal;
     use svbr::lrd::kernels;
     use svbr::lrd::{fft_plan, DaviesHarte as Dh, HoskingSampler};
@@ -231,23 +231,29 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
         println!("reflect_update: bit-identical to the textbook loop (asserted)");
     }
 
-    // 5c. FftPlan: twiddles tabulated by the exact recurrence the
-    // unplanned butterfly runs — asserted bitwise-identical (and
-    // property-tested across sizes in svbr-lrd).
+    // 5c. FftPlan: radix-4 with directly computed twiddles — the
+    // forward→inverse round trip on a Davies–Harte path (the error against
+    // an O(n²) DFT is gated at 2^0..2^12 in svbr-lrd's tests).
     {
-        let plan = fft_plan(4096);
+        let n = 4096;
+        let plan = fft_plan(n);
         let mut rng = StdRng::seed_from_u64(SEED ^ 1);
-        let dh = Dh::new(FgnAcf::new(HURST)?, 4096)?;
-        let mut a: Vec<Complex> = dh
+        let dh = Dh::new(FgnAcf::new(HURST)?, n)?;
+        let orig: Vec<Complex> = dh
             .generate(&mut rng)
             .iter()
             .map(|&x| Complex::real(x))
             .collect();
-        let mut b = a.clone();
-        plan.fft(&mut a);
-        fft::fft(&mut b);
-        assert_eq!(a, b);
-        println!("FftPlan: bitwise-identical to the unplanned transform (asserted)");
+        let mut x = orig.clone();
+        plan.fft(&mut x);
+        plan.ifft(&mut x);
+        let round_trip = x
+            .iter()
+            .zip(&orig)
+            .map(|(a, b)| (a.re - b.re).abs().max((a.im - b.im).abs()))
+            .fold(0.0f64, f64::max);
+        assert!(round_trip < 1e-14);
+        println!("FftPlan (n={n}): round trip max |Δx| = {round_trip:.3e} (asserted < 1e-14)");
     }
 
     // 5d. TabulatedTransform: the bracket-table inverse-CDF path vs the
@@ -316,7 +322,8 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
         let mut row: Vec<Complex> = (0..m)
             .map(|j| Complex::real(fgn.r(if j <= half { j } else { m - j })))
             .collect();
-        fft::fft(&mut row);
+        let plan = fft_plan(m);
+        plan.fft(&mut row);
         let scale: Vec<f64> = row
             .iter()
             .map(|z| (z.re.max(0.0) / m as f64).sqrt())
@@ -332,7 +339,7 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
             spec[j] = Complex::new(scale[j] * a, scale[j] * b);
             spec[m - j] = Complex::new(scale[m - j] * a, -scale[m - j] * b);
         }
-        fft::fft(&mut spec);
+        plan.fft(&mut spec);
         let complex: Vec<f64> = spec[..n].iter().map(|z| z.re).collect();
         let max_dx = real
             .iter()

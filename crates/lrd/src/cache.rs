@@ -31,21 +31,25 @@
 //! counters, plus `cache.hosking.bytes` / `cache.davies_harte.bytes` /
 //! `cache.fft_plan.bytes` gauges tracking the resident footprint.
 //!
-//! A third cache memoizes the [`FftPlan`] (twiddle tables + bit-reversal
-//! permutation) keyed by transform length alone, so every Davies–Harte
-//! setup, per-path transform and sample ACF at one length shares a single
-//! plan (real transforms of length `2n` run on the plan of length `n`).
-//! Plans up to [`FFT_PLAN_PINNED_BYTES_CAP`] stay resident once built, so
-//! callers that build a sampler per use (serve's Davies–Harte tier builds
-//! one per chunk) never re-plan. Larger plans are held *weakly*: such a
-//! plan lives while anything using it does — a Davies–Harte sampler holds
-//! its own — and is freed with the last holder, so a paper-size plan
-//! (~7 MB at 2¹⁸) does not stay resident after the fit or the figure that
-//! needed it.
+//! A third cache memoizes the [`FftPlan`] (per-stage twiddle tables).
+//! A plan's tables run every shorter power of two, bit for bit, so a
+//! transform is served by the smallest suitable plan at least its length
+//! (real transforms of length `2n` run on a plan of length ≥ `n`). The
+//! longest plan up to [`FFT_PLAN_PINNED_BYTES_CAP`] stays resident once
+//! built and serves every shorter length, so callers that build a sampler
+//! per use (serve's Davies–Harte tier builds one per chunk) never
+//! re-plan. Larger plans are held
+//! *weakly*: such a plan lives while anything using it does — a
+//! Davies–Harte sampler holds its own — and is freed with the last holder,
+//! so a paper-size plan (~6 MB at 2¹⁸) does not stay resident after the
+//! fit or the figure that needed it. While it lives it serves shorter
+//! large lengths too: the sample ACF of a generated path pads to
+//! `n + max_lag`, half the generator's embedding, and runs on the
+//! generator's plan instead of planning per call.
 
 use crate::acf::Acf;
 use crate::davies_harte::DaviesHarte;
-use crate::fft::{next_power_of_two, FftPlan};
+use crate::fft::{is_power_of_two, next_power_of_two, FftPlan};
 use crate::hosking::PreparedHosking;
 use crate::LrdError;
 use std::collections::BTreeMap;
@@ -63,10 +67,10 @@ pub const HOSKING_CACHE_BYTES_CAP: usize = 192 << 20;
 /// O(n) so this is generous).
 pub const DAVIES_HARTE_CACHE_BYTES_CAP: usize = 32 << 20;
 
-/// FFT plans whose footprint is at most this stay resident once built;
-/// larger ones are held weakly. A plan costs ~28 bytes per point and plan
-/// lengths are powers of two, so the pinned plans (lengths up to 2¹⁵)
-/// total under twice this cap.
+/// FFT plans whose footprint is at most this (24 bytes per point: lengths
+/// up to 2¹⁵) are pinned: the longest one requested stays resident and
+/// serves every shorter length. Larger plans are held weakly and reused
+/// only while something holds them.
 pub const FFT_PLAN_PINNED_BYTES_CAP: usize = 1 << 20;
 
 /// Fingerprint the first `lags` autocorrelation values (exact f64 bit
@@ -284,18 +288,29 @@ pub fn davies_harte_cached<A: Acf>(
     Ok(dh)
 }
 
-/// Look up (or build and insert) the [`FftPlan`] for transforms of length
-/// `n`. The plan is a pure function of the length, so every Davies–Harte
-/// setup, replication fan-out, and serve chunk generator targeting the same
-/// power of two shares one `Arc`'d table — always for small plans, and for
-/// plans above [`FFT_PLAN_PINNED_BYTES_CAP`] while anything holds one.
+/// Look up (or build and insert) an [`FftPlan`] for transforms of length
+/// `n`. A plan's tables run every shorter power of two, bit for bit as the
+/// exact-length plan would ([`FftPlan`]), so `n` is served by the smallest
+/// suitable plan at least that long: for a small `n`, the one pinned plan
+/// (the longest small length requested so far); for a length above
+/// [`FFT_PLAN_PINNED_BYTES_CAP`], any live plan — so the sample ACF of a
+/// generated path runs on the plan its generator already holds. A small
+/// request never takes a large plan, so a pinned holder (serve's
+/// per-chunk samplers, the Davies–Harte cache) never keeps one alive.
 ///
 /// # Panics
 /// Panics if `n` is not a power of two (same contract as [`FftPlan::new`]).
 pub fn fft_plan(n: usize) -> Arc<FftPlan> {
+    assert!(is_power_of_two(n), "FFT length {n} is not a power of two");
+    let pinned = FftPlan::footprint_bytes_for(n) <= FFT_PLAN_PINNED_BYTES_CAP;
     {
         let cache = plan_cache().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.get(&n).and_then(PlanSlot::get) {
+        let hit = cache.range(n..).find_map(|(_, slot)| match slot {
+            PlanSlot::Pinned(plan) => Some(Arc::clone(plan)),
+            PlanSlot::Held(plan) if !pinned => plan.upgrade(),
+            PlanSlot::Held(_) => None,
+        });
+        if let Some(hit) = hit {
             svbr_obsv::counter("cache.fft_plan.hit").add(1);
             observe_lookup("fft_plan", "hit");
             return hit;
@@ -307,16 +322,23 @@ pub fn fft_plan(n: usize) -> Arc<FftPlan> {
     observe_lookup("fft_plan", "miss");
     let plan = Arc::new(FftPlan::new(n));
     let mut cache = plan_cache().lock().unwrap_or_else(PoisonError::into_inner);
-    cache.retain(|_, slot| match slot {
-        PlanSlot::Pinned(_) => true,
-        PlanSlot::Held(plan) => plan.strong_count() > 0,
-    });
-    let slot = if plan.footprint_bytes() <= FFT_PLAN_PINNED_BYTES_CAP {
+    let slot = if pinned {
         PlanSlot::Pinned(Arc::clone(&plan))
     } else {
         PlanSlot::Held(Arc::downgrade(&plan))
     };
     cache.insert(n, slot);
+    // The longest pinned plan serves every shorter small length, so it is
+    // the only one kept.
+    let longest = cache
+        .iter()
+        .filter(|(_, slot)| matches!(slot, PlanSlot::Pinned(_)))
+        .map(|(&len, _)| len)
+        .max();
+    cache.retain(|&len, slot| match slot {
+        PlanSlot::Pinned(_) => Some(len) == longest,
+        PlanSlot::Held(plan) => plan.strong_count() > 0,
+    });
     let resident: usize = cache
         .values()
         .filter_map(PlanSlot::get)
@@ -411,7 +433,8 @@ mod tests {
         let a = fft_plan(512);
         let b = fft_plan(512);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        assert_eq!(a.len(), 512);
+        // The pinned plan may be longer (another test pinned one first).
+        assert!(a.len() >= 512);
         // The cached plan produces the same bits as a freshly built one.
         let data: Vec<crate::fft::Complex> = (0..512)
             .map(|i| crate::fft::Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
@@ -440,6 +463,20 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "shared while held");
         drop((a, b));
         assert!(held.upgrade().is_none(), "the cache must not keep it");
+    }
+
+    #[test]
+    fn the_longest_pinned_plan_serves_shorter_lengths() {
+        // 2^15 is the longest pinnable length, so once it is pinned every
+        // small request — from any test in this binary — lands on it.
+        let longest = fft_plan(1 << 15);
+        for log_n in 0..15 {
+            assert!(
+                Arc::ptr_eq(&fft_plan(1 << log_n), &longest),
+                "n = 2^{log_n}"
+            );
+        }
+        assert!(FftPlan::footprint_bytes_for(1 << 16) > FFT_PLAN_PINNED_BYTES_CAP);
     }
 
     #[test]

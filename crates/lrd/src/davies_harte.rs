@@ -27,7 +27,7 @@
 //! `svbr-bench` (ablation: exact-slow vs exact-fast).
 
 use crate::acf::{Acf, TabulatedAcf};
-use crate::fft::{fft, ifft, next_power_of_two, Complex, RealFft};
+use crate::fft::{next_power_of_two, Complex, RealFft};
 use crate::gauss::Normal;
 use crate::LrdError;
 use rand::Rng;
@@ -250,35 +250,44 @@ pub fn pd_project<A: Acf>(acf: A, n: usize) -> Result<TabulatedAcf, LrdError> {
     // lags the caller will actually use.
     let m = next_power_of_two(4 * (n - 1)).max(2);
     let half = m / 2;
-    let mut row = vec![Complex::default(); m];
-    for (j, item) in row.iter_mut().enumerate().take(half + 1) {
-        *item = Complex::real(acf.r(j));
+    // The row is real and even, so its spectrum is real with λ_{m−j} = λ_j:
+    // both transforms run as half-length real FFTs, on a plan built for
+    // this call: a projection per Fig. 16 point would otherwise keep a
+    // plan pinned that no generator needs.
+    let mut row = vec![0.0; m];
+    let (lo, hi) = row.split_at_mut(half + 1);
+    for (j, item) in lo.iter_mut().enumerate() {
+        *item = acf.r(j);
     }
-    for (j, item) in row.iter_mut().enumerate().skip(half + 1) {
-        *item = Complex::real(acf.r(m - j));
+    for (item, &mirror) in hi.iter_mut().zip(lo[1..half].iter().rev()) {
+        *item = mirror;
     }
-    fft(&mut row);
+    let rfft = RealFft::unshared(m);
+    let mut spec = Vec::new();
+    rfft.r2c(&row, &mut spec);
     // Flooring at a small *positive* value (rather than zero) keeps the
     // circulant strictly PD, so every Toeplitz minor is strictly PD and the
     // Durbin–Levinson recursion stays away from |κ| = 1 at deep lags.
-    let pos_mass: f64 = row.iter().map(|z| z.re.max(0.0)).sum();
+    // λ_1..λ_{m/2−1} each stand for themselves and their mirror image.
+    let pos_mass: f64 = spec
+        .iter()
+        .enumerate()
+        .map(|(j, z)| (if j == 0 || j == half { 1.0 } else { 2.0 }) * z.re.max(0.0))
+        .sum();
     let floor = 1e-6 * pos_mass / m as f64;
-    for z in row.iter_mut() {
+    for z in spec.iter_mut() {
         *z = Complex::real(z.re.max(floor));
     }
-    ifft(&mut row);
-    let norm = row[0].re;
+    // Unnormalized (× m): the scale cancels in the division by lag 0.
+    rfft.c2r(&mut spec, &mut row, n);
+    let norm = row[0];
     if norm <= 0.0 {
         return Err(LrdError::InvalidParameter {
             name: "acf",
             constraint: "projection produced a degenerate (zero) variance",
         });
     }
-    let values: Vec<f64> = row[..n]
-        .iter()
-        .map(|z| (z.re / norm).clamp(-1.0, 1.0))
-        .collect();
-    let mut values = values;
+    let mut values: Vec<f64> = row.iter().map(|z| (z / norm).clamp(-1.0, 1.0)).collect();
     values[0] = 1.0;
     TabulatedAcf::new(values)
 }

@@ -14,7 +14,7 @@
 
 use crate::acf::FarimaAcf;
 use crate::arma::ArmaFilter;
-use crate::fft::{fft, ifft, next_power_of_two, Complex};
+use crate::fft::{next_power_of_two, RealFft};
 use crate::gauss::Normal;
 use crate::hosking::HoskingSampler;
 use crate::LrdError;
@@ -108,26 +108,21 @@ impl Farima0d0 {
         // Convolve m+n−1 innovations with ψ by FFT.
         let total = n + m - 1;
         let fft_len = next_power_of_two(total + m);
-        let mut noise = vec![Complex::default(); fft_len];
+        let mut noise = Vec::with_capacity(total);
         let mut g = Normal::new();
-        for item in noise.iter_mut().take(total) {
-            *item = Complex::real(g.sample(rng));
-        }
-        let mut kernel = vec![Complex::default(); fft_len];
-        for (kk, &p) in kernel.iter_mut().zip(psi.iter()) {
-            *kk = Complex::real(p);
-        }
-        fft(&mut noise);
-        fft(&mut kernel);
-        for (a, b) in noise.iter_mut().zip(kernel.iter()) {
+        noise.extend((0..total).map(|_| g.sample(rng)));
+        let rfft = RealFft::new(fft_len);
+        let (mut spec, mut kernel) = (Vec::new(), Vec::new());
+        rfft.r2c(&noise, &mut spec);
+        rfft.r2c(&psi, &mut kernel);
+        for (a, b) in spec.iter_mut().zip(kernel.iter()) {
             *a = *a * *b;
         }
-        ifft(&mut noise);
+        // c2r is unnormalized (× fft_len).
+        rfft.c2r(&mut spec, &mut noise, m - 1 + n);
+        let scale = scale / fft_len as f64;
         // The first m−1 outputs are ramp-up (incomplete history); discard.
-        Ok(noise[m - 1..m - 1 + n]
-            .iter()
-            .map(|z| z.re * scale)
-            .collect())
+        Ok(noise[m - 1..].iter().map(|z| z * scale).collect())
     }
 }
 

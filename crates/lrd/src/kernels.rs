@@ -62,6 +62,14 @@ pub fn dot_rev(a: &[f64], b: &[f64]) -> f64 {
     for (x, y) in a[n - r..].iter().zip(b[..r].iter().rev()) {
         tail += x * y;
     }
+    // The final sum pairs lane 0 with 1 and 2 with 3, which LLVM's SLP
+    // vectorizer may mirror by packing lanes (0, 2) and (1, 3): that
+    // deinterleaves both streams every block (four shuffles instead of
+    // two). Whether it did hung on unrelated code in this crate — the same
+    // source ran ~30% slower after an edit to `fft.rs`. Passing the lanes
+    // through `black_box` seeds the vectorizer with the contiguous pairs;
+    // the per-lane arithmetic, and so every bit, is unchanged.
+    let acc = std::hint::black_box(acc);
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 

@@ -21,11 +21,11 @@
 //!   sample-independent precomputations (Hosking's Durbin–Levinson
 //!   coefficient schedule, the Davies–Harte eigenvalue vector), memory
 //!   capped with a documented fallback to the streaming recursion.
-//! * [`fft`] — a self-contained radix-2 complex FFT (no external deps),
-//!   with a precomputed [`fft::FftPlan`] (twiddles + bit-reversal) for
-//!   repeated same-length transforms, and [`fft::RealFft`], the half-length
-//!   real-input transform the Davies–Harte generator and the sample ACF
-//!   run on.
+//! * [`fft`] — a self-contained radix-4 complex FFT (no external deps) on
+//!   a precomputed [`fft::FftPlan`] (exact per-stage twiddles, shared by
+//!   every power-of-two length up to the plan's), and [`fft::RealFft`], the
+//!   half-length real-input transform the Davies–Harte generator and the
+//!   sample ACF run on.
 //! * [`kernels`] — lane-batched (4-accumulator) dot-product kernels shared
 //!   by every Durbin–Levinson consumer, with documented per-kernel
 //!   bit-identity decisions.

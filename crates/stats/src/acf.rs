@@ -115,6 +115,25 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)]
+    fn direct_and_fft_agree_at_paper_length() -> Result<(), Box<dyn std::error::Error>> {
+        // Fig. 8's geometry: 238,626 frames and 500 lags, where the FFT
+        // path pads to 2^18 = next_power_of_two(n + max_lag). Measured
+        // 1.5e−14 here; the 2n-padded recurrence-twiddle path read 1.2e−13.
+        let mut rng = StdRng::seed_from_u64(8);
+        let xs = Ar1::new(0.9)?.generate(238_626, &mut rng);
+        let a = sample_acf(&xs, 500)?;
+        let b = sample_acf_fft(&xs, 500)?;
+        let worst = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        assert!(worst < 5e-14, "max |direct - fft| = {worst:e}");
+        Ok(())
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
     fn ar1_acf_recovered() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(2);
         let xs = Ar1::new(0.8)?.generate(200_000, &mut rng);
