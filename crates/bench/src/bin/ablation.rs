@@ -160,7 +160,6 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
     use svbr::lrd::gauss::Normal;
     use svbr::lrd::kernels;
     use svbr::lrd::{fft_plan, DaviesHarte as Dh, HoskingSampler};
-    use svbr::marginal::{Gamma, TabulatedTransform};
     use svbr::queue::lindley::{LindleyLanes, LindleyQueue, LANES};
     use svbr::stats::{mavar_hurst, sample_acf, sample_acf_fft as acf_fft, MavarOptions};
 
@@ -256,39 +255,7 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
         println!("FftPlan (n={n}): round trip max |Δx| = {round_trip:.3e} (asserted < 1e-14)");
     }
 
-    // 5d. TabulatedTransform: the bracket-table inverse-CDF path vs the
-    // exact Φ→F⁻¹ composition, same Gaussian input.
-    {
-        let exact = GaussianTransform::new(Gamma::new(2.0, 1.5)?);
-        let tab = TabulatedTransform::new(GaussianTransform::new(Gamma::new(2.0, 1.5)?));
-        let dh = Dh::new(FgnAcf::new(HURST)?, 262_144)?;
-        let mut rng = StdRng::seed_from_u64(SEED ^ 2);
-        let xs = dh.generate(&mut rng);
-        let ys_exact = exact.apply_slice(&xs);
-        let ys_tab = tab.apply_slice(&xs);
-        let max_rel = ys_exact
-            .iter()
-            .zip(ys_tab.iter())
-            .map(|(e, t)| (e - t).abs() / e.abs().max(1e-12))
-            .fold(0.0f64, f64::max);
-        let ae = acf_fft(&ys_exact, 100)?;
-        let at = acf_fft(&ys_tab, 100)?;
-        let he = mavar_hurst(&ys_exact, &mavar_opts)?.hurst;
-        let ht = mavar_hurst(&ys_tab, &mavar_opts)?.hurst;
-        println!(
-            "TabulatedTransform (Gamma marginal, n=262144): max rel err = {:.3e}",
-            max_rel
-        );
-        println!(
-            "  ACF-L2 delta (lags 0..100) = {:.3e}   MAVAR-H: tab {:.4} vs exact {:.4} (ΔH = {:+.2e})",
-            acf_l2(&ae, &at),
-            ht,
-            he,
-            ht - he
-        );
-    }
-
-    // 5e. LindleyLanes: per-lane arithmetic identical to the scalar
+    // 5d. LindleyLanes: per-lane arithmetic identical to the scalar
     // recursion — asserted bit-identical.
     {
         let dh = Dh::new(FgnAcf::new(HURST)?, 65_536)?;
@@ -309,7 +276,7 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
         println!("LindleyLanes: bit-identical to the scalar Lindley recursion (asserted)");
     }
 
-    // 5f. RealFft: Davies–Harte on half-length real transforms vs the
+    // 5e. RealFft: Davies–Harte on half-length real transforms vs the
     // full-length complex construction it replaced (complex FFT of the
     // whole circulant row, the full Hermitian spectrum, one forward
     // complex FFT), same seed and the same normal-variate sequence; and

@@ -61,13 +61,13 @@ impl ArmaFilter {
             let mut x = e;
             for (j, &theta) in self.ma.iter().enumerate() {
                 if t > j {
-                    // svbr-analyze: allow(panic-surface) t > j so 0 <= t-j-1 < t <= innovations.len()
+                    // t > j so 0 <= t-j-1 < t <= innovations.len()
                     x += theta * innovations[t - j - 1];
                 }
             }
             for (i, &phi) in self.ar.iter().enumerate() {
                 if t > i {
-                    // svbr-analyze: allow(panic-surface) t > i so 0 <= t-i-1 < t == out.len() here
+                    // t > i so 0 <= t-i-1 < t == out.len() here
                     x += phi * out[t - i - 1];
                 }
             }
@@ -174,15 +174,15 @@ pub fn fit_ar(xs: &[f64], order: usize) -> Result<(Vec<f64>, f64), LrdError> {
     for k in 1..=order {
         let mut num = r[k];
         for j in 1..k {
-            // svbr-analyze: allow(panic-surface) 1 <= j < k <= order keeps j-1 and k-j in 0..order
+            // 1 <= j < k <= order keeps j-1 and k-j in 0..order
             num -= prev[j - 1] * r[k - j];
         }
         let kappa = num / v;
         for j in 1..k {
-            // svbr-analyze: allow(panic-surface) 1 <= j < k <= order keeps j-1 and k-j-1 in 0..order
+            // 1 <= j < k <= order keeps j-1 and k-j-1 in 0..order
             phi[j - 1] = prev[j - 1] - kappa * prev[k - j - 1];
         }
-        // svbr-analyze: allow(panic-surface) k <= order == phi.len(), so k-1 is in bounds
+        // k <= order == phi.len(), so k-1 is in bounds
         phi[k - 1] = kappa;
         v *= 1.0 - kappa * kappa;
         prev[..k].copy_from_slice(&phi[..k]);

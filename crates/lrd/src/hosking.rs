@@ -404,7 +404,7 @@ impl<A: Acf> HoskingSampler<A> {
             if !k.is_multiple_of(PROGRESS_CHUNK) {
                 continue;
             }
-            // svbr-analyze: allow(alloc-in-hot-loop) amortized: telemetry path only, once per PROGRESS_CHUNK samples, capacity <= 4 fields
+            // amortized: telemetry path only, once per PROGRESS_CHUNK samples, capacity <= 4 fields
             let mut fields = vec![("k", k as f64), ("innovation_variance", self.v)];
             if let Some(h) = hurst.estimate() {
                 fields.push(("running_hurst", h));
@@ -575,7 +575,7 @@ pub fn regularize_to_pd<A: Acf>(acf: A, n: usize) -> Result<(TabulatedAcf, f64),
     let mut shrink = 0.0_f64;
     loop {
         let rho = 1.0 - shrink;
-        // svbr-analyze: allow(alloc-in-hot-loop) one-time setup: a handful of shrink attempts at table preparation, never on the per-sample path
+        // one-time setup: a handful of shrink attempts at table preparation, never on the per-sample path
         let table: Vec<f64> = (0..n).map(|k| acf.r(k) * rho.powi(k as i32)).collect();
         let attempt = TabulatedAcf::new(table.clone()).and_then(|t| {
             let mut s = HoskingSampler::new(&t)?;

@@ -58,7 +58,7 @@ pub fn dot_rev(a: &[f64], b: &[f64]) -> f64 {
         acc[3] += ca[3] * cb[0];
     }
     let mut tail = 0.0;
-    // svbr-analyze: allow(panic-surface) r = n % LANES <= n, so n-r is a valid split point
+    // r = n % LANES <= n, so n-r is a valid split point
     for (x, y) in a[n - r..].iter().zip(b[..r].iter().rev()) {
         tail += x * y;
     }

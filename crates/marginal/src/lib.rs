@@ -14,9 +14,6 @@
 //!   fitted to VBR video and the paper builds on.
 //! * [`empirical`] — the paper's own choice: "inverting the empirical
 //!   distribution directly", both from raw samples and from histograms.
-//! * [`batch`] — the batched inverse-CDF path: the composite map
-//!   `h = F⁻¹∘Φ` tabulated on uniform brackets, transforming whole chunks
-//!   by interpolation (a tolerance-based fast path; see DESIGN.md §5).
 //! * [`transform`] — the transform `h` itself, plus the *attenuation
 //!   factor* `a = E[h(Z)Z]²/Var[h(Z)]` of Appendix A (eq. 30), computed by
 //!   Gauss–Hermite quadrature. The paper measures `a` from simulations;
@@ -25,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod empirical;
 pub mod gamma;
 pub mod gamma_pareto;
@@ -35,7 +31,6 @@ pub mod pareto;
 pub mod special;
 pub mod transform;
 
-pub use batch::TabulatedTransform;
 pub use empirical::{BinnedEmpirical, EmpiricalCdf};
 pub use gamma::Gamma;
 pub use gamma_pareto::GammaPareto;

@@ -101,8 +101,8 @@ pub enum RuleKind {
     },
 }
 
-/// One typed alert rule. Rule names are registered in the DESIGN §7b alert
-/// table (cross-checked by `svbr-xtask analyze`).
+/// One typed alert rule. Rule names are registered in the DESIGN §7c alert
+/// table (cross-checked by `tests/registry.rs`).
 #[derive(Clone, Debug)]
 pub struct AlertRule {
     /// Registered rule name, e.g. `"hurst-band"`.
@@ -182,7 +182,7 @@ pub fn default_rules(h: f64) -> Vec<AlertRule> {
 /// in which flight-recorder window.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Alert {
-    /// Rule name (DESIGN §7b alert table).
+    /// Rule name (DESIGN §7c alert table).
     pub rule: String,
     /// Rule severity.
     pub severity: Severity,
@@ -774,8 +774,8 @@ mod tests {
             }
             ref other => panic!("unexpected kind {other:?}"),
         }
-        // Every default rule name must be in the DESIGN §7b alert table;
-        // the analyze fixture self-tests cross-check the real table.
+        // Every default rule name must be in the DESIGN §7c alert table;
+        // `tests/registry.rs` cross-checks the real table.
         let names: Vec<&str> = rules.iter().map(|r| r.name).collect();
         assert_eq!(
             names,

@@ -54,7 +54,7 @@ pub enum Event {
     /// which series, the observed value against its threshold, and the
     /// flight-recorder window ordinal the breach completed in.
     Alert {
-        /// Rule name from the DESIGN §7b alert table, e.g. `"hurst-band"`.
+        /// Rule name from the DESIGN §7c alert table, e.g. `"hurst-band"`.
         rule: String,
         /// `"warning"` or `"critical"`.
         severity: String,

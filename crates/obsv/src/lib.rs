@@ -84,8 +84,9 @@ pub fn install(sink: Arc<dyn Sink>) {
     // Pre-register the layer's self-metric so it shows up (at zero) in
     // every snapshot, making "no series were dropped" an observable fact
     // rather than an absence. Spelled as a literal (it equals
-    // `metrics::CARDINALITY_DROPPED`) so the analyze metric-registry
-    // audit, which reads names from literal call sites, can see it.
+    // `metrics::CARDINALITY_DROPPED`) so the registry test
+    // (`tests/registry.rs`), which reads names from literal call sites,
+    // can see it.
     let _ = crate::counter("obsv.cardinality_dropped");
     let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(sink);

@@ -41,17 +41,21 @@ impl RunManifest {
         reason = "a manifest times its own lifetime, independent of when the obsv process epoch was first read"
     )]
     pub fn new(name: &str, seed: u64, root: &Path) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock start is run metadata only; it never feeds an RNG or the sample path"
+        )]
+        let started_wall = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .ok()
+            .map(|d| d.as_secs());
         Self {
             name: name.to_string(),
             seed,
             git_revision: git_revision(root),
             params: Vec::new(),
             notes: Vec::new(),
-            // svbr-analyze: allow(seed-flow) wall-clock start is run metadata only; it never feeds an RNG or the sample path
-            started_wall: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .ok()
-                .map(|d| d.as_secs()),
+            started_wall,
             started: Instant::now(),
         }
     }

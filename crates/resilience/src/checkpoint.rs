@@ -244,7 +244,7 @@ impl Checkpoint {
                 ckpt.scalars.push((k.to_string(), f64::from_bits(bits)));
             } else if let Some(k) = key.strip_prefix("vec.") {
                 let ws = parse_hex_list(value).map_err(|reason| corrupt(lineno, &reason))?;
-                // svbr-analyze: allow(alloc-in-hot-loop) one-time restore path: each checkpoint line parsed once per recovery, bounded by checkpoint size
+                // one-time restore path: each checkpoint line parsed once per recovery, bounded by checkpoint size
                 let vals: Vec<f64> = ws.into_iter().map(f64::from_bits).collect();
                 ckpt.vectors.push((k.to_string(), vals));
             } else {

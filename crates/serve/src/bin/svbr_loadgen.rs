@@ -293,6 +293,13 @@ fn drive_session(cfg: &Config, i: u64) -> Outcome {
                 note = body.trim().to_string();
                 break;
             }
+            Ok((404, body)) => {
+                terminal = unknown_session_terminal(&bodies, cfg.chunks);
+                if terminal == Terminal::Hung {
+                    note = format!("unexpected pull response 404: {}", body.trim());
+                }
+                break;
+            }
             Ok((code, body)) => {
                 terminal = Terminal::Hung;
                 note = format!("unexpected pull response {code}: {}", body.trim());
@@ -329,6 +336,19 @@ fn drive_session(cfg: &Config, i: u64) -> Outcome {
         missing,
         dup_mismatch,
         note,
+    }
+}
+
+/// Terminal state of a session the server answers 404 (`unknown session`)
+/// for. Answering `end` retires the session and removes its checkpoint, so
+/// a server killed around that pull resumes without it: with every chunk
+/// `0..chunks` already held the stream is complete and the session closed;
+/// with any chunk missing the server lost a live session.
+fn unknown_session_terminal(bodies: &BTreeMap<u64, String>, chunks: u64) -> Terminal {
+    if (0..chunks).all(|k| bodies.contains_key(&k)) {
+        Terminal::Closed
+    } else {
+        Terminal::Hung
     }
 }
 
@@ -489,4 +509,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_session_is_closed_only_when_every_chunk_is_held() {
+        let held = |idx: &[u64]| -> BTreeMap<u64, String> {
+            idx.iter().map(|&k| (k, format!("chunk {k}\n"))).collect()
+        };
+        assert_eq!(
+            unknown_session_terminal(&held(&[0, 1, 2, 3, 4, 5]), 6),
+            Terminal::Closed
+        );
+        assert_eq!(
+            unknown_session_terminal(&held(&[0, 1, 2, 3, 5]), 6),
+            Terminal::Hung
+        );
+        assert_eq!(unknown_session_terminal(&held(&[]), 6), Terminal::Hung);
+        // Chunks beyond the session's length do not stand in for a gap.
+        assert_eq!(
+            unknown_session_terminal(&held(&[1, 2, 3, 4, 5, 6]), 6),
+            Terminal::Hung
+        );
+    }
 }

@@ -31,7 +31,7 @@ for code in clippy::unwrap_used clippy::expect_used clippy::float_cmp \
     expect "\"code\":\"$code\"" "$code"
 done
 for path in std::thread::spawn std::thread::scope std::time::Instant::now \
-    std::sync::mpsc::channel std::panic::catch_unwind; do
+    std::time::SystemTime::now std::sync::mpsc::channel std::panic::catch_unwind; do
     expect "disallowed method \`$path\`" "clippy::disallowed_methods $path"
 done
 for path in std::time::Instant std::collections::HashMap std::collections::HashSet; do

@@ -53,6 +53,11 @@ pub fn now() -> Instant {
     Instant::now()
 }
 
+/// `clippy::disallowed_methods`: `std::time::SystemTime::now`
+pub fn wall_clock() -> std::time::SystemTime {
+    std::time::SystemTime::now()
+}
+
 /// `clippy::disallowed_methods`: `std::sync::mpsc::channel`
 pub fn channel() {
     let (tx, rx) = std::sync::mpsc::channel::<u8>();

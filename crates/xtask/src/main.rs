@@ -3,20 +3,12 @@
 //! span-tree profiler built on it.
 //!
 //! ```text
-//! cargo run -p svbr-xtask -- analyze [--format text|json]
 //! cargo run -p svbr-xtask -- obsv-report <trace.jsonl>
 //! cargo run -p svbr-xtask -- obsv-tail [--once] <trace.jsonl>
 //! cargo run -p svbr-xtask -- obsv-diff <a> <b>
 //! cargo run -p svbr-xtask -- trace-report [--format json] <trace.jsonl>...
 //! cargo run -p svbr-xtask -- bench-compare --baseline <old.json> <new.json>
 //! ```
-//!
-//! `analyze` walks every `.rs` file in the workspace (skipping `target/`,
-//! `vendor/` and VCS metadata) and enforces the repo-specific rule
-//! families clippy cannot express (metric and alert registries, seed flow,
-//! parallel float reductions, hot-loop allocation, panic surface); see
-//! [`analyze`]. Exits 0 on a clean tree, 1 when any finding survives its
-//! waivers, 2 on usage errors.
 //!
 //! `obsv-report` summarizes a JSONL trace captured with
 //! `repro --trace <path>` into per-span timing and per-point field tables,
@@ -38,63 +30,17 @@
 
 #![forbid(unsafe_code)]
 
-mod analyze;
-mod lexer;
-mod model;
 mod obsv;
 mod trace_report;
-mod waivers;
-
-use std::path::{Path, PathBuf};
-
-/// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".claude", "results"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(run(&args, &workspace_root()));
+    std::process::exit(run(&args));
 }
 
-/// The workspace root is two levels up from this crate's manifest — robust
-/// to `cargo run -p svbr-xtask` being invoked from any subdirectory.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .map(Path::to_path_buf)
-        .unwrap_or(manifest)
-}
-
-fn run(args: &[String], root: &Path) -> i32 {
+fn run(args: &[String]) -> i32 {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
-        Some("analyze") => {
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--format" => match it.next().map(String::as_str) {
-                        Some("text") => json = false,
-                        Some("json") => json = true,
-                        other => {
-                            eprintln!("--format takes `text` or `json`, got {other:?}\n{USAGE}");
-                            return 2;
-                        }
-                    },
-                    other => {
-                        eprintln!("unknown flag `{other}`\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            let report = analyze::analyze_tree(root);
-            if json {
-                println!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            i32::from(!report.findings.is_empty())
-        }
         Some("obsv-report") => match (it.next(), it.next()) {
             (Some(path), None) => obsv_report(path),
             _ => {
@@ -201,7 +147,6 @@ fn run(args: &[String], root: &Path) -> i32 {
 }
 const USAGE: &str = "\
 usage: cargo run -p svbr-xtask -- <task>
-  analyze [--format text|json]                  cross-file determinism / numeric-safety audit
   obsv-report <trace.jsonl>                     summarize an obsv trace
   obsv-tail [--once] <trace.jsonl>              render the latest flight-recorder window
                                                 (follows the file unless --once)
@@ -502,43 +447,10 @@ fn bench_compare(baseline_path: &str, current_path: &str, threshold: f64) -> i32
     }
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
-                collect_rs_files(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_tree(files: &[(&str, &str)]) -> PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -863,29 +775,23 @@ mod tests {
         let path = |n: &str| root.join(n).to_string_lossy().into_owned();
         let args = |v: &[String]| v.to_vec();
         assert_eq!(
-            run(
-                &args(&[
-                    "bench-compare".into(),
-                    "--baseline".into(),
-                    path("b.json"),
-                    path("c.json"),
-                ]),
-                &root
-            ),
+            run(&args(&[
+                "bench-compare".into(),
+                "--baseline".into(),
+                path("b.json"),
+                path("c.json"),
+            ])),
             1
         );
         assert_eq!(
-            run(
-                &args(&[
-                    "bench-compare".into(),
-                    "--baseline".into(),
-                    path("b.json"),
-                    "--threshold".into(),
-                    "0.5".into(),
-                    path("c.json"),
-                ]),
-                &root
-            ),
+            run(&args(&[
+                "bench-compare".into(),
+                "--baseline".into(),
+                path("b.json"),
+                "--threshold".into(),
+                "0.5".into(),
+                path("c.json"),
+            ])),
             0
         );
         std::fs::remove_dir_all(&root).ok();
@@ -911,121 +817,54 @@ mod tests {
 
     #[test]
     fn usage_errors_exit_two() {
-        let root = std::env::temp_dir();
-        assert_eq!(run(&[], &root), 2);
-        assert_eq!(run(&["frobnicate".into()], &root), 2);
+        assert_eq!(run(&[]), 2);
+        assert_eq!(run(&["frobnicate".into()]), 2);
         // obsv-report arity errors.
-        assert_eq!(run(&["obsv-report".into()], &root), 2);
-        assert_eq!(
-            run(&["obsv-report".into(), "a".into(), "b".into()], &root),
-            2
-        );
+        assert_eq!(run(&["obsv-report".into()]), 2);
+        assert_eq!(run(&["obsv-report".into(), "a".into(), "b".into()]), 2);
         // obsv-tail / obsv-diff usage errors.
-        assert_eq!(run(&["obsv-tail".into()], &root), 2);
-        assert_eq!(run(&["obsv-tail".into(), "--once".into()], &root), 2);
-        assert_eq!(
-            run(&["obsv-tail".into(), "--bogus".into(), "t".into()], &root),
-            2
-        );
+        assert_eq!(run(&["obsv-tail".into()]), 2);
+        assert_eq!(run(&["obsv-tail".into(), "--once".into()]), 2);
+        assert_eq!(run(&["obsv-tail".into(), "--bogus".into(), "t".into()]), 2);
         // trace-report usage errors.
-        assert_eq!(run(&["trace-report".into()], &root), 2);
+        assert_eq!(run(&["trace-report".into()]), 2);
         assert_eq!(
-            run(
-                &["trace-report".into(), "--format".into(), "json".into()],
-                &root
-            ),
+            run(&["trace-report".into(), "--format".into(), "json".into()]),
             2
         );
         assert_eq!(
-            run(
-                &[
-                    "trace-report".into(),
-                    "--format".into(),
-                    "yaml".into(),
-                    "t.jsonl".into()
-                ],
-                &root
-            ),
+            run(&[
+                "trace-report".into(),
+                "--format".into(),
+                "yaml".into(),
+                "t.jsonl".into()
+            ]),
             2
         );
         assert_eq!(
-            run(
-                &["trace-report".into(), "--bogus".into(), "t.jsonl".into()],
-                &root
-            ),
+            run(&["trace-report".into(), "--bogus".into(), "t.jsonl".into()]),
             2
         );
-        assert_eq!(run(&["obsv-diff".into()], &root), 2);
-        assert_eq!(run(&["obsv-diff".into(), "a".into()], &root), 2);
+        assert_eq!(run(&["obsv-diff".into()]), 2);
+        assert_eq!(run(&["obsv-diff".into(), "a".into()]), 2);
         assert_eq!(
-            run(
-                &["obsv-diff".into(), "a".into(), "b".into(), "c".into()],
-                &root
-            ),
+            run(&["obsv-diff".into(), "a".into(), "b".into(), "c".into()]),
             2
         );
         // bench-compare usage errors.
-        assert_eq!(run(&["bench-compare".into()], &root), 2);
+        assert_eq!(run(&["bench-compare".into()]), 2);
+        assert_eq!(run(&["bench-compare".into(), "current.json".into()]), 2);
         assert_eq!(
-            run(&["bench-compare".into(), "current.json".into()], &root),
+            run(&[
+                "bench-compare".into(),
+                "--baseline".into(),
+                "b.json".into(),
+                "--threshold".into(),
+                "2.0".into(),
+                "c.json".into(),
+            ]),
             2
         );
-        assert_eq!(
-            run(
-                &[
-                    "bench-compare".into(),
-                    "--baseline".into(),
-                    "b.json".into(),
-                    "--threshold".into(),
-                    "2.0".into(),
-                    "c.json".into(),
-                ],
-                &root
-            ),
-            2
-        );
-        assert_eq!(
-            run(&["bench-compare".into(), "--baseline".into()], &root),
-            2
-        );
-    }
-
-    #[test]
-    fn analyze_cli_gates_and_renders() {
-        // A clean tree (with a registry-free code base) exits 0.
-        let root = tmp_tree(&[("crates/par/src/lib.rs", "pub fn ok() {}\n")]);
-        assert_eq!(run(&["analyze".into()], &root), 0);
-        std::fs::remove_dir_all(&root).ok();
-
-        // A dead seed parameter exits 1, and the JSON rendering carries
-        // the finding.
-        let root = tmp_tree(&[("crates/par/src/lib.rs", "pub fn f(seed: u64) {}\n")]);
-        assert_eq!(run(&["analyze".into()], &root), 1);
-        assert_eq!(
-            run(&["analyze".into(), "--format".into(), "json".into()], &root),
-            1
-        );
-        let json = analyze::analyze_tree(&root).render_json();
-        assert!(json.contains("\"rule\":\"seed-flow\""));
-        std::fs::remove_dir_all(&root).ok();
-
-        // vendor/ and target/ are never descended into.
-        let root = tmp_tree(&[
-            ("vendor/fake/src/lib.rs", "pub fn f(seed: u64) {}\n"),
-            ("target/debug/gen.rs", "pub fn f(seed: u64) {}\n"),
-            ("crates/par/src/lib.rs", "pub fn ok() {}\n"),
-        ]);
-        let report = analyze::analyze_tree(&root);
-        assert!(report.findings.is_empty());
-        assert_eq!(report.files_scanned, 1);
-        std::fs::remove_dir_all(&root).ok();
-
-        // Usage errors exit 2.
-        let root = std::env::temp_dir();
-        assert_eq!(
-            run(&["analyze".into(), "--format".into(), "xml".into()], &root),
-            2
-        );
-        assert_eq!(run(&["analyze".into(), "--bogus".into()], &root), 2);
+        assert_eq!(run(&["bench-compare".into(), "--baseline".into()]), 2);
     }
 }
