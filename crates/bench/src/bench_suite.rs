@@ -30,8 +30,10 @@ use svbr_obsv::Stopwatch;
 use svbr_resilience::degrade::{prepare_table, GeneratorTier};
 use svbr_serve::{drain_session, generate_chunk_into, ChunkScratch, GenState, SessionSpec};
 
-/// Seed shared by every case (each case derives its own `StdRng` from it,
-/// offset by the case index, so adding a case never reseeds the others).
+/// Seed of the whole suite. Each case derives its own seed from it and the
+/// case's `(name, n, threads)` key alone ([`CaseSpec::seed`]) — the key
+/// `bench-compare` pairs rows by — so adding, removing or reordering cases
+/// never reseeds another case.
 pub const BENCH_SEED: u64 = 0xbe7c_4a5e;
 
 /// Schema version of the JSON report, bumped on breaking field changes.
@@ -57,6 +59,21 @@ struct CaseSpec {
     n: usize,
     iters: usize,
     threads: usize,
+}
+
+impl CaseSpec {
+    /// This case's seed: [`BENCH_SEED`] mixed with the bytes of its name,
+    /// then its `n` and `threads`.
+    fn seed(&self) -> u64 {
+        let named = self
+            .name
+            .bytes()
+            .fold(BENCH_SEED, |h, b| svbr::par::derive_seed(h, u64::from(b)));
+        svbr::par::derive_seed(
+            svbr::par::derive_seed(named, self.n as u64),
+            self.threads as u64,
+        )
+    }
 }
 
 /// Measured outcome of one case.
@@ -330,8 +347,9 @@ pub fn run_suite(
 ) -> Result<BenchReport, Box<dyn std::error::Error>> {
     let specs = suite(quick);
     let mut cases = Vec::with_capacity(specs.len());
-    for (ci, spec) in specs.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(BENCH_SEED.wrapping_add(ci as u64));
+    for spec in &specs {
+        let seed = spec.seed();
+        let mut rng = StdRng::seed_from_u64(seed);
         let result = match spec.name {
             "hosking" => {
                 let acf = FgnAcf::new(HURST)?;
@@ -429,7 +447,7 @@ pub fn run_suite(
                 let path_len = spec.n / HOSKING_REPS;
                 measure(spec, || {
                     for rep in 0..HOSKING_REPS {
-                        let seed = svbr::par::derive_seed(BENCH_SEED ^ ci as u64, rep as u64);
+                        let seed = svbr::par::derive_seed(seed, rep as u64);
                         let mut rep_rng = StdRng::seed_from_u64(seed);
                         let sampler =
                             HoskingSampler::new(&acf).unwrap_or_else(|e| die(spec.name, &e));
@@ -455,7 +473,7 @@ pub fn run_suite(
                         Err(e) => die(spec.name, &e),
                     };
                     let paths = svbr::par::run_replications(
-                        BENCH_SEED ^ ci as u64,
+                        seed,
                         HOSKING_REPS,
                         spec.threads,
                         |_rep, seed| {
@@ -509,7 +527,7 @@ pub fn run_suite(
                 let transform = GaussianTransform::new(Lognormal::from_moments(1.0, 0.25)?);
                 let mut scratch = ChunkScratch::new();
                 measure(spec, || {
-                    let mut st = GenState::fresh(BENCH_SEED ^ ci as u64);
+                    let mut st = GenState::fresh(seed);
                     let mut total = 0usize;
                     while total < spec.n {
                         generate_chunk_into(
@@ -537,17 +555,22 @@ pub fn run_suite(
                 let transform = GaussianTransform::new(Lognormal::from_moments(1.0, 0.25)?);
                 measure(spec, || {
                     for s in 0..spec.n as u64 {
-                        let seed = svbr::par::derive_seed(BENCH_SEED ^ ci as u64, s);
+                        let session_seed = svbr::par::derive_seed(seed, s);
                         let sspec = SessionSpec {
                             id: s,
-                            seed,
+                            seed: session_seed,
                             chunk_len: SERVE_CHUNK_LEN,
                             chunks: SERVE_CHUNKS,
                             deadline_ms: None,
                         };
-                        let delivered =
-                            drain_session(&sspec, GenState::fresh(seed), &table, &transform, 4)
-                                .unwrap_or_else(|e| die(spec.name, &e));
+                        let delivered = drain_session(
+                            &sspec,
+                            GenState::fresh(session_seed),
+                            &table,
+                            &transform,
+                            4,
+                        )
+                        .unwrap_or_else(|e| die(spec.name, &e));
                         assert_eq!(delivered, SERVE_CHUNKS);
                     }
                 })
@@ -758,6 +781,27 @@ mod tests {
             assert!(q.n <= f.n && q.iters <= f.iters);
             assert!(q.n < f.n || q.iters < f.iters);
         }
+    }
+
+    #[test]
+    fn case_seeds_depend_on_the_case_key_alone() {
+        for quick in [true, false] {
+            let specs = suite(quick);
+            let seeds: std::collections::BTreeSet<u64> = specs.iter().map(CaseSpec::seed).collect();
+            assert_eq!(seeds.len(), specs.len(), "two cases share a seed");
+        }
+        let key = |name, n, threads| CaseSpec {
+            name,
+            n,
+            iters: 1,
+            threads,
+        };
+        assert_ne!(key("hosking", 512, 1).seed(), key("hosking", 512, 4).seed());
+        assert_ne!(
+            key("hosking", 512, 1).seed(),
+            key("hosking", 1024, 1).seed()
+        );
+        assert_eq!(key("hosking", 512, 1).seed(), key("hosking", 512, 1).seed());
     }
 
     #[test]

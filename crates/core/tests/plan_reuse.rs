@@ -26,7 +26,7 @@ fn generate_and_sample_acf_reuse_the_generators_plan() {
     svbr_obsv::install(Arc::new(svbr_obsv::MemorySink::new()));
     let miss = || {
         svbr_obsv::snapshot()
-            .counter("cache.fft_plan.miss")
+            .counter("cache.lookups{backend=\"fft_plan\",outcome=\"miss\"}")
             .unwrap_or(0)
     };
     let trace = reference_trace_intra_of_len(20_000);

@@ -14,7 +14,7 @@ fn fit_and_seeded_refinement_leave_the_davies_harte_cache_alone() {
     svbr_obsv::install(Arc::new(svbr_obsv::MemorySink::new()));
     let miss = || {
         svbr_obsv::snapshot()
-            .counter("cache.davies_harte.miss")
+            .counter("cache.lookups{backend=\"davies_harte\",outcome=\"miss\"}")
             .unwrap_or(0)
     };
     let bytes = || {

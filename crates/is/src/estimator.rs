@@ -439,15 +439,13 @@ impl<M: Marginal> IsEstimator<M> {
     /// twist used — the quantities that tell whether the change of measure
     /// is healthy (cf. `crate::diagnostics`).
     fn observe_run(&self, twist: f64, acc: &Accumulator, est: &IsEstimate, mode: &str) {
-        svbr_obsv::counter("is.replications").add(acc.n as u64);
+        svbr_obsv::counter_with("is.batch.replications", &[("mode", mode)]).add(acc.n as u64);
         if svbr_obsv::enabled() {
-            // Same total, split by execution mode (sequential vs parallel).
-            svbr_obsv::counter_with("is.batch.replications", &[("mode", mode)]).add(acc.n as u64);
             svbr_obsv::record_tick(acc.n as u64);
         }
         svbr_obsv::counter("is.hits").add(acc.hits as u64);
         let ess = acc.effective_sample_size();
-        svbr_obsv::gauge("is.effective_sample_size").set(ess);
+        svbr_obsv::gauge("is.ess").set(ess);
         if !svbr_obsv::enabled() {
             return;
         }

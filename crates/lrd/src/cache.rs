@@ -26,9 +26,10 @@
 //! generation scheme that keeps the process footprint bounded without
 //! LRU bookkeeping on the hot path.
 //!
-//! Observability: `cache.hosking.{hit,miss,bypass}`,
-//! `cache.davies_harte.{hit,miss}`, and `cache.fft_plan.{hit,miss}`
-//! counters, plus `cache.hosking.bytes` / `cache.davies_harte.bytes` /
+//! Observability: every lookup counts in `cache.lookups{backend,outcome}`
+//! (backends `hosking` / `davies_harte` / `fft_plan`, outcomes `hit` /
+//! `miss`, and `bypass` for an over-cap Hosking horizon), plus
+//! `cache.hosking.bytes` / `cache.davies_harte.bytes` /
 //! `cache.fft_plan.bytes` gauges tracking the resident footprint.
 //!
 //! A third cache memoizes the [`FftPlan`] (per-stage twiddle tables).
@@ -189,12 +190,10 @@ fn dh_entry_bytes(n: usize) -> usize {
     (next_power_of_two(2 * n.max(2)) / 2 + 1) * std::mem::size_of::<f64>()
 }
 
-/// Dimensional view of the flat `cache.<backend>.hit/miss` counters: one
-/// `cache.lookups` family labeled by backend and outcome.
+/// Count one cache lookup in the `cache.lookups` family, labeled by
+/// backend (`hosking` / `davies_harte` / `fft_plan`) and outcome (`hit` /
+/// `miss` / `bypass`).
 fn observe_lookup(backend: &str, outcome: &str) {
-    if !svbr_obsv::enabled() {
-        return;
-    }
     svbr_obsv::counter_with(
         "cache.lookups",
         &[("backend", backend), ("outcome", outcome)],
@@ -210,7 +209,7 @@ fn observe_lookup(backend: &str, outcome: &str) {
 /// most once per distinct `(ACF fingerprint, n)` process-wide.
 pub fn hosking_coefficients<A: Acf>(acf: &A, n: usize) -> Result<CachedHosking, LrdError> {
     if hosking_entry_bytes(n) > HOSKING_ENTRY_BYTES_CAP {
-        svbr_obsv::counter("cache.hosking.bypass").add(1);
+        observe_lookup("hosking", "bypass");
         return Ok(CachedHosking::Streaming);
     }
     let key = (acf_fingerprint(acf, n), n);
@@ -219,7 +218,6 @@ pub fn hosking_coefficients<A: Acf>(acf: &A, n: usize) -> Result<CachedHosking, 
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = cache.map.get(&key) {
-            svbr_obsv::counter("cache.hosking.hit").add(1);
             observe_lookup("hosking", "hit");
             return Ok(CachedHosking::Shared(Arc::clone(hit)));
         }
@@ -227,7 +225,6 @@ pub fn hosking_coefficients<A: Acf>(acf: &A, n: usize) -> Result<CachedHosking, 
     // Computed outside the lock: preparing is O(n²) and must not serialize
     // unrelated lookups. A racing duplicate insert is harmless (identical
     // value; last writer wins).
-    svbr_obsv::counter("cache.hosking.miss").add(1);
     observe_lookup("hosking", "miss");
     let prepared = Arc::new(PreparedHosking::new(acf, n)?);
     let mut cache = hosking_cache()
@@ -267,12 +264,10 @@ pub fn davies_harte_cached<A: Acf>(
     {
         let cache = dh_cache().lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = cache.map.get(&key) {
-            svbr_obsv::counter("cache.davies_harte.hit").add(1);
             observe_lookup("davies_harte", "hit");
             return Ok(Arc::clone(hit));
         }
     }
-    svbr_obsv::counter("cache.davies_harte.miss").add(1);
     observe_lookup("davies_harte", "miss");
     let dh = Arc::new(DaviesHarte::new_approx(acf, n, rel_tol)?);
     let mut cache = dh_cache().lock().unwrap_or_else(PoisonError::into_inner);
@@ -311,14 +306,12 @@ pub fn fft_plan(n: usize) -> Arc<FftPlan> {
             PlanSlot::Held(_) => None,
         });
         if let Some(hit) = hit {
-            svbr_obsv::counter("cache.fft_plan.hit").add(1);
             observe_lookup("fft_plan", "hit");
             return hit;
         }
     }
     // Built outside the lock, like the other caches: planning is O(n) but
     // a racing duplicate insert is harmless (identical tables).
-    svbr_obsv::counter("cache.fft_plan.miss").add(1);
     observe_lookup("fft_plan", "miss");
     let plan = Arc::new(FftPlan::new(n));
     let mut cache = plan_cache().lock().unwrap_or_else(PoisonError::into_inner);

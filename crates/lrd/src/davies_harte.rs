@@ -181,10 +181,9 @@ impl DaviesHarte {
     ) {
         let mut span = svbr_obsv::span("davies_harte.generate");
         span.field("n", self.n as f64);
-        svbr_obsv::counter("lrd.davies_harte.samples").add(self.n as u64);
+        svbr_obsv::counter_with("lrd.generator.samples", &[("backend", "davies_harte")])
+            .add(self.n as u64);
         if svbr_obsv::enabled() {
-            svbr_obsv::counter_with("lrd.generator.samples", &[("backend", "davies_harte")])
-                .add(self.n as u64);
             svbr_obsv::record_tick(1);
         }
         out.clear();

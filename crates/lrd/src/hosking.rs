@@ -421,17 +421,14 @@ impl<A: Acf> HoskingSampler<A> {
             svbr_obsv::point("hosking.progress", &fields);
         }
         self.history.truncate(n);
-        svbr_obsv::counter("lrd.hosking.samples").add(n as u64);
+        svbr_obsv::counter_with("lrd.generator.samples", &[("backend", "hosking")]).add(n as u64);
         if svbr_obsv::enabled() {
-            svbr_obsv::counter_with("lrd.generator.samples", &[("backend", "hosking")])
-                .add(n as u64);
             svbr_obsv::record_tick(1);
         }
         svbr_obsv::gauge("lrd.hosking.innovation_variance").set(self.v);
         let elapsed = span.elapsed_secs();
         if span.is_live() && elapsed > 0.0 {
             let rate = n as f64 / elapsed;
-            svbr_obsv::gauge("lrd.hosking.samples_per_sec").set(rate);
             span.field("n", n as f64);
             span.field("samples_per_sec", rate);
             span.field("innovation_variance", self.v);

@@ -423,17 +423,15 @@ mod tests {
     #[test]
     fn report_summarizes_trace() {
         let lines = [
-            r#"{"t":"span","name":"a","dur_us":100}"#.to_string(),
-            r#"{"t":"span","name":"a","dur_us":300,"fields":{"n":8.0}}"#.to_string(),
-            r#"{"t":"point","name":"p","fields":{"x":1,"y":2}}"#.to_string(),
-            r#"{"t":"point","name":"p","fields":{"x":3}}"#.to_string(),
-            "not json".to_string(),
+            r#"{"t":"span","name":"a","dur_us":100}"#,
+            r#"{"t":"span","name":"a","dur_us":300,"fields":{"n":8.0}}"#,
+            r#"{"t":"point","name":"p","fields":{"x":1,"y":2}}"#,
+            r#"{"t":"point","name":"p","fields":{"x":3}}"#,
         ];
-        let summary = report::summarize(lines);
+        let events: Vec<Event> = lines.iter().filter_map(|l| Event::parse(l)).collect();
+        let summary = report::summarize(&events, 1);
         assert_eq!(summary.malformed_lines, 1);
-        let a = summary.spans.get("a").expect("span a");
-        assert_eq!((a.count, a.total_us, a.max_us), (2, 400, 300));
-        assert!((a.mean_us() - 200.0).abs() < 1e-9);
+        assert_eq!(summary.events, 4);
         assert_eq!(summary.points.get("p"), Some(&2));
         let x = summary
             .fields
@@ -444,7 +442,7 @@ mod tests {
             (2, 1.0, 3.0, 1.0, 3.0)
         );
         let rendered = summary.to_string();
-        assert!(rendered.contains("spans:"));
+        assert!(!rendered.contains("spans:"), "span timing is the forest's");
         assert!(rendered.contains("points:"));
         assert!(rendered.contains("malformed lines: 1"));
     }

@@ -1,32 +1,12 @@
-//! Trace summarization: fold a JSONL trace into per-name span timing and
-//! point-field statistics, rendered as a plain-text table.
+//! Trace summarization: fold a parsed trace into per-point field
+//! statistics and the last flight-recorder window, rendered as plain-text
+//! tables. Spans are folded by `svbr_profile::SpanForest`, which owns the
+//! workspace's one span model (per-name timing, call trees, trace groups).
 
 use crate::event::Event;
 use crate::metrics::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Aggregated timing for one span name.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpanStats {
-    /// Number of span records.
-    pub count: u64,
-    /// Total duration across records, microseconds.
-    pub total_us: u64,
-    /// Longest single record, microseconds.
-    pub max_us: u64,
-}
-
-impl SpanStats {
-    /// Mean duration in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        }
-    }
-}
 
 /// Aggregated statistics for one numeric field of one point name.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,8 +57,8 @@ impl Default for FieldStats {
 pub struct TraceSummary {
     /// Lines that failed to parse as events.
     pub malformed_lines: u64,
-    /// Per-span-name timing, sorted by name.
-    pub spans: BTreeMap<String, SpanStats>,
+    /// Events folded, of every kind.
+    pub events: u64,
     /// Per-point-name event count, sorted by name.
     pub points: BTreeMap<String, u64>,
     /// `(point_name, field)` → statistics.
@@ -92,13 +72,10 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Fold one already-parsed event into the summary.
     pub fn observe(&mut self, event: &Event) {
+        self.events += 1;
         match event {
-            Event::Span { name, dur_us, .. } => {
-                let s = self.spans.entry(name.clone()).or_default();
-                s.count += 1;
-                s.total_us += dur_us;
-                s.max_us = s.max_us.max(*dur_us);
-            }
+            // Span timing is the span forest's (`svbr_profile`).
+            Event::Span { .. } => {}
             Event::Point { name, fields } => {
                 *self.points.entry(name.clone()).or_default() += 1;
                 for (k, v) in fields {
@@ -121,28 +98,17 @@ impl TraceSummary {
     }
 }
 
-/// Summarize an iterator of JSONL lines (e.g. from a trace file).
-pub fn summarize<I, S>(lines: I) -> TraceSummary
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut summary = TraceSummary::default();
-    for line in lines {
-        let line = line.as_ref().trim();
-        if line.is_empty() {
-            continue;
-        }
-        match Event::parse(line) {
-            Some(ev) => summary.observe(&ev),
-            None => summary.malformed_lines += 1,
-        }
+/// Summarize a parsed trace; `malformed_lines` counts the lines of its
+/// file that did not parse as events.
+pub fn summarize(events: &[Event], malformed_lines: u64) -> TraceSummary {
+    let mut summary = TraceSummary {
+        malformed_lines,
+        ..TraceSummary::default()
+    };
+    for event in events {
+        summary.observe(event);
     }
     summary
-}
-
-fn fmt_ms(us: f64) -> String {
-    format!("{:.3}", us / 1000.0)
 }
 
 fn fmt_val(v: f64) -> String {
@@ -158,25 +124,6 @@ fn fmt_val(v: f64) -> String {
 
 impl fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.spans.is_empty() {
-            writeln!(f, "spans:")?;
-            writeln!(
-                f,
-                "  {:<28} {:>8} {:>12} {:>12} {:>12}",
-                "name", "count", "total_ms", "mean_ms", "max_ms"
-            )?;
-            for (name, s) in &self.spans {
-                writeln!(
-                    f,
-                    "  {:<28} {:>8} {:>12} {:>12} {:>12}",
-                    name,
-                    s.count,
-                    fmt_ms(s.total_us as f64),
-                    fmt_ms(s.mean_us()),
-                    fmt_ms(s.max_us as f64),
-                )?;
-            }
-        }
         if !self.points.is_empty() {
             writeln!(f, "points:")?;
             writeln!(
@@ -239,7 +186,7 @@ impl fmt::Display for TraceSummary {
         if self.malformed_lines > 0 {
             writeln!(f, "malformed lines: {}", self.malformed_lines)?;
         }
-        if self.spans.is_empty() && self.points.is_empty() && self.windows == 0 {
+        if self.events == 0 {
             writeln!(f, "(empty trace)")?;
         }
         Ok(())
@@ -250,6 +197,14 @@ impl fmt::Display for TraceSummary {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
+
+    /// The events as a trace reader gets them back from JSONL.
+    fn round_trip(events: &[Event]) -> Vec<Event> {
+        events
+            .iter()
+            .map(|e| Event::parse(&e.to_jsonl()).expect("own output parses"))
+            .collect()
+    }
 
     #[test]
     fn windows_are_counted_and_last_snapshot_kept() {
@@ -264,7 +219,7 @@ mod tests {
             seq: 1,
             snapshot: reg.snapshot(),
         };
-        let summary = summarize([first.to_jsonl(), second.to_jsonl()]);
+        let summary = summarize(&round_trip(&[first, second]), 0);
         assert_eq!(summary.windows, 2);
         assert_eq!(summary.malformed_lines, 0);
         let last = summary.last_window.as_ref().expect("kept the last window");
@@ -283,11 +238,11 @@ mod tests {
         for _ in 0..50 {
             h.record(100);
         }
-        let summary = summarize([Event::Window {
+        let window = Event::Window {
             seq: 0,
             snapshot: reg.snapshot(),
-        }
-        .to_jsonl()]);
+        };
+        let summary = summarize(&round_trip(&[window]), 0);
         let text = summary.to_string();
         assert!(text.contains("histograms (last of 1 windows):"), "{text}");
         assert!(text.contains("~p50"), "{text}");

@@ -1,9 +1,14 @@
 //! # svbr-profile — span-tree profiling over obsv traces
 //!
-//! Rebuilds thread-aware call trees from the flat [`svbr_obsv::Event`]
-//! stream (spans carry their start timestamp and thread ordinal), computes
-//! self-vs-total time per call path, extracts the critical path, and
-//! exports flamegraph folded stacks.
+//! [`SpanForest`] is the workspace's one span model: every tool that
+//! reads spans builds one. It rebuilds thread-aware call trees from the
+//! flat [`svbr_obsv::Event`] stream (spans carry their start timestamp and
+//! thread ordinal), computes self-vs-total time per call path, extracts the
+//! critical path, exports flamegraph folded stacks, and groups traced spans
+//! by trace id across processes ([`SpanForest::traces`]). `repro profile`,
+//! `svbr-xtask obsv-report` (per-name and hot-path tables),
+//! `svbr-xtask trace-report` and svbr-benchmark's layer attribution all
+//! read it.
 //!
 //! ```
 //! use svbr_obsv::Event;

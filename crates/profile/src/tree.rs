@@ -1,4 +1,5 @@
-//! Span-tree reconstruction from a flat obsv event stream.
+//! Span-tree reconstruction from a flat obsv event stream — the one place
+//! the workspace folds spans.
 //!
 //! Spans are emitted on drop, so a trace is ordered by *end* time and a
 //! parent's record arrives after all of its children. Each record carries
@@ -8,8 +9,14 @@
 //! `(start asc, end desc, arrival desc)` visits every parent immediately
 //! before its children and a single stack sweep recovers the tree. Spans
 //! from different threads never link.
+//!
+//! Traced spans also carry a [`TraceCtx`]; [`SpanForest::traces`] groups
+//! them by trace id across any number of processes' streams, which is how
+//! `svbr-xtask trace-report` stitches a chunk's client, server and worker
+//! spans into one tree without aligning clocks.
 
-use svbr_obsv::Event;
+use std::collections::BTreeMap;
+use svbr_obsv::{Event, TraceCtx};
 
 /// One reconstructed span.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,6 +29,10 @@ pub struct SpanNode {
     pub start_us: u64,
     /// Duration, µs.
     pub dur_us: u64,
+    /// Causal trace context ([`TraceCtx::NONE`] for an untraced span).
+    pub ctx: TraceCtx,
+    /// The span's numeric fields, in record order.
+    pub fields: Vec<(String, f64)>,
     /// Indices of direct children in [`SpanForest::nodes`], in start order.
     pub children: Vec<usize>,
 }
@@ -51,21 +62,15 @@ pub struct PathStats {
 pub struct SpanForest {
     nodes: Vec<SpanNode>,
     roots: Vec<usize>,
+    /// Position of each node's record in the event stream.
+    arrival: Vec<usize>,
 }
 
 impl SpanForest {
     /// Rebuild the forest from parsed events (arrival order preserved);
     /// non-span events are ignored.
     pub fn from_events(events: &[Event]) -> Self {
-        struct Rec {
-            name: String,
-            tid: u64,
-            start: u64,
-            end: u64,
-            dur: u64,
-            arrival: usize,
-        }
-        let mut recs: Vec<Rec> = events
+        let mut recs: Vec<(usize, SpanNode)> = events
             .iter()
             .enumerate()
             .filter_map(|(arrival, e)| match e {
@@ -74,62 +79,61 @@ impl SpanForest {
                     start_us,
                     dur_us,
                     tid,
-                    ..
-                } => Some(Rec {
-                    name: name.clone(),
-                    tid: *tid,
-                    start: *start_us,
-                    end: start_us.saturating_add(*dur_us),
-                    dur: *dur_us,
+                    ctx,
+                    fields,
+                } => Some((
                     arrival,
-                }),
+                    SpanNode {
+                        name: name.clone(),
+                        tid: *tid,
+                        start_us: *start_us,
+                        dur_us: *dur_us,
+                        ctx: *ctx,
+                        fields: fields.clone(),
+                        children: Vec::new(),
+                    },
+                )),
                 Event::Point { .. } | Event::Window { .. } | Event::Alert { .. } => None,
             })
             .collect();
         // Within a thread: parents sort before children (earlier start, or
         // same start with later end, or — for identical intervals — later
         // arrival, since a parent drops after its children).
-        recs.sort_by(|a, b| {
+        recs.sort_by(|(arrival_a, a), (arrival_b, b)| {
             a.tid
                 .cmp(&b.tid)
-                .then(a.start.cmp(&b.start))
-                .then(b.end.cmp(&a.end))
-                .then(b.arrival.cmp(&a.arrival))
+                .then(a.start_us.cmp(&b.start_us))
+                .then(b.end_us().cmp(&a.end_us()))
+                .then(arrival_b.cmp(arrival_a))
         });
+        let (arrival, mut nodes): (Vec<usize>, Vec<SpanNode>) = recs.into_iter().unzip();
 
-        let mut forest = SpanForest {
-            nodes: Vec::with_capacity(recs.len()),
-            roots: Vec::new(),
-        };
+        let mut roots = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
         let mut current_tid: Option<u64> = None;
-        for rec in recs {
-            if current_tid != Some(rec.tid) {
+        for idx in 0..nodes.len() {
+            let (tid, start, end) = (nodes[idx].tid, nodes[idx].start_us, nodes[idx].end_us());
+            if current_tid != Some(tid) {
                 stack.clear();
-                current_tid = Some(rec.tid);
+                current_tid = Some(tid);
             }
             while let Some(&top) = stack.last() {
-                let t = &forest.nodes[top];
-                if rec.start >= t.start_us && rec.end <= t.end_us() {
+                if start >= nodes[top].start_us && end <= nodes[top].end_us() {
                     break;
                 }
                 stack.pop();
             }
-            let idx = forest.nodes.len();
-            forest.nodes.push(SpanNode {
-                name: rec.name,
-                tid: rec.tid,
-                start_us: rec.start,
-                dur_us: rec.dur,
-                children: Vec::new(),
-            });
             match stack.last() {
-                Some(&parent) => forest.nodes[parent].children.push(idx),
-                None => forest.roots.push(idx),
+                Some(&parent) => nodes[parent].children.push(idx),
+                None => roots.push(idx),
             }
             stack.push(idx);
         }
-        forest
+        SpanForest {
+            nodes,
+            roots,
+            arrival,
+        }
     }
 
     /// All nodes, indexable by the ids in `children` / `roots`.
@@ -140,6 +144,30 @@ impl SpanForest {
     /// Indices of root spans (no enclosing span on their thread).
     pub fn roots(&self) -> &[usize] {
         &self.roots
+    }
+
+    /// The traced nodes grouped by trace id, each group in span-id order.
+    /// A span id recorded more than once — a killed-and-resumed server
+    /// re-serving a chunk regenerates the same ids — keeps its first record
+    /// in event order, so a resumed run groups exactly like an
+    /// uninterrupted one. Untraced spans are left out.
+    pub fn traces(&self) -> BTreeMap<u64, Vec<&SpanNode>> {
+        let mut first: BTreeMap<u64, usize> = BTreeMap::new();
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if node.ctx.is_none() {
+                continue;
+            }
+            let kept = first.entry(node.ctx.span_id).or_insert(idx);
+            if self.arrival[idx] < self.arrival[*kept] {
+                *kept = idx;
+            }
+        }
+        let mut by_trace: BTreeMap<u64, Vec<&SpanNode>> = BTreeMap::new();
+        for idx in first.into_values() {
+            let node = &self.nodes[idx];
+            by_trace.entry(node.ctx.trace_id).or_default().push(node);
+        }
+        by_trace
     }
 
     /// Self time of a node: its duration minus the time covered by its
@@ -191,7 +219,6 @@ impl SpanForest {
     /// Aggregate by root-to-node name path (threads with identical call
     /// paths merge). Sorted by descending self time, then path.
     pub fn aggregate(&self) -> Vec<PathStats> {
-        use std::collections::BTreeMap;
         let mut agg: BTreeMap<Vec<String>, (u64, u64, u64)> = BTreeMap::new();
         // Iterative DFS carrying the name path.
         let mut work: Vec<(usize, Vec<String>)> =
@@ -295,6 +322,46 @@ mod tests {
             .map(|&i| f.nodes()[i].name.as_str())
             .collect();
         assert_eq!(path, vec!["root", "long", "long.leaf"]);
+    }
+
+    #[test]
+    fn traces_group_by_trace_id_and_keep_the_first_record() {
+        let traced = |name: &str, tid: u64, dur_us: u64, trace_id: u64, span_id: u64| Event::Span {
+            name: name.to_string(),
+            start_us: 0,
+            dur_us,
+            tid,
+            ctx: svbr_obsv::TraceCtx {
+                trace_id,
+                span_id,
+                parent: 0,
+            },
+            fields: Vec::new(),
+        };
+        let events = vec![
+            traced("b", 0, 10, 7, 2),
+            traced("a", 1, 20, 7, 1),
+            span("untraced", 0, 0, 50),
+            traced("c", 0, 30, 9, 3),
+            // A second incarnation's record of span 2: the first one wins.
+            traced("b", 0, 999, 7, 2),
+        ];
+        let f = SpanForest::from_events(&events);
+        assert_eq!(f.nodes().len(), 5, "the forest itself keeps every record");
+        let traces = f.traces();
+        let summary: Vec<(u64, Vec<(&str, u64)>)> = traces
+            .iter()
+            .map(|(&t, nodes)| {
+                (
+                    t,
+                    nodes.iter().map(|n| (n.name.as_str(), n.dur_us)).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            summary,
+            vec![(7, vec![("a", 20), ("b", 10)]), (9, vec![("c", 30)])]
+        );
     }
 
     #[test]

@@ -11,8 +11,13 @@
 //! ```
 //!
 //! `obsv-report` summarizes a JSONL trace captured with
-//! `repro --trace <path>` into per-span timing and per-point field tables,
-//! followed by the span-tree hot-path table and critical path.
+//! `repro --trace <path>`: per-name span timing, per-point field and
+//! histogram tables, then the span-tree hot-path table and critical path.
+//! Both span tables come from one [`svbr_profile::SpanForest`].
+//!
+//! Every subcommand that reads a trace reads it through
+//! [`obsv::read_trace`], so each fails on an unreadable, empty or
+//! non-JSONL file with the same one-line error.
 //!
 //! `obsv-tail` renders the latest flight-recorder window of a trace in the
 //! Prometheus text format and (without `--once`) follows the file as it
@@ -21,8 +26,8 @@
 //!
 //! `trace-report` stitches the span streams of several traced processes
 //! (server incarnations, loadgen clients) into per-chunk trees keyed by
-//! the deterministic trace id and prints each chunk's critical-path
-//! attribution; see [`trace_report`].
+//! the deterministic trace id ([`svbr_profile::SpanForest::traces`]) and
+//! prints each chunk's critical-path attribution; see [`trace_report`].
 //!
 //! `bench-compare` diffs two `BENCH_svbr.json` reports (written by
 //! `repro bench`) and exits 1 when any case's throughput regressed by more
@@ -168,37 +173,63 @@ const REPORT_HOT_PATHS: usize = 10;
 /// Empty or non-JSONL input is a single-line error and exit 1 — never an
 /// empty table.
 fn obsv_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obsv-report: cannot read trace `{path}`: {e}");
-            return 1;
+    match obsv::read_trace(path) {
+        Ok(trace) => {
+            // Best-effort write: a closed pipe (`… | head`) must not panic.
+            use std::io::Write;
+            let _ = write!(std::io::stdout().lock(), "{}", obsv_report_text(&trace));
+            0
         }
-    };
-    if text.trim().is_empty() {
-        eprintln!("obsv-report: `{path}` is empty (expected a JSONL trace)");
-        return 1;
+        Err(e) => {
+            eprintln!("obsv-report: {e}");
+            1
+        }
     }
-    if !text.lines().any(|l| svbr_obsv::Event::parse(l).is_some()) {
-        eprintln!("obsv-report: `{path}` is not a JSONL trace (no line parsed as an event)");
-        return 1;
-    }
-    // Best-effort write: a closed pipe (`… | head`) must not panic.
-    use std::io::Write;
-    let _ = write!(std::io::stdout().lock(), "{}", obsv_report_text(&text));
-    0
 }
 
-/// The full `obsv-report` document: the per-span/per-point summary followed
-/// by the span-tree hot-path table (self-time ranking + critical path).
-fn obsv_report_text(text: &str) -> String {
-    let summary = svbr_obsv::report::summarize(text.lines());
-    let events: Vec<svbr_obsv::Event> = text.lines().filter_map(svbr_obsv::Event::parse).collect();
-    let forest = svbr_profile::SpanForest::from_events(&events);
+/// The full `obsv-report` document: the per-name span table, the
+/// per-point/histogram summary, then the span-tree hot-path table
+/// (self-time ranking + critical path).
+fn obsv_report_text(trace: &obsv::Trace) -> String {
+    let forest = svbr_profile::SpanForest::from_events(&trace.events);
+    let summary = svbr_obsv::report::summarize(&trace.events, trace.malformed_lines);
     format!(
-        "{summary}\n{}",
+        "{}{summary}\n{}",
+        span_table(&forest),
         svbr_profile::render(&forest, REPORT_HOT_PATHS)
     )
+}
+
+/// Count, total, mean and longest duration per span name, sorted by name;
+/// empty when the trace holds no span.
+fn span_table(forest: &svbr_profile::SpanForest) -> String {
+    use std::collections::BTreeMap;
+    let mut by_name: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+    for node in forest.nodes() {
+        let (count, total, max) = by_name.entry(node.name.as_str()).or_default();
+        *count += 1;
+        *total += node.dur_us;
+        *max = (*max).max(node.dur_us);
+    }
+    if by_name.is_empty() {
+        return String::new();
+    }
+    let ms = |us: f64| format!("{:.3}", us / 1000.0);
+    let mut out = format!(
+        "spans:\n  {:<28} {:>8} {:>12} {:>12} {:>12}\n",
+        "name", "count", "total_ms", "mean_ms", "max_ms"
+    );
+    for (name, (count, total, max)) in by_name {
+        out.push_str(&format!(
+            "  {:<28} {:>8} {:>12} {:>12} {:>12}\n",
+            name,
+            count,
+            ms(total as f64),
+            ms(total as f64 / count as f64),
+            ms(max as f64),
+        ));
+    }
+    out
 }
 
 /// One case pulled out of a bench report's `cases`/`results` array.
@@ -447,44 +478,64 @@ fn bench_compare(baseline_path: &str, current_path: &str, threshold: f64) -> i32
     }
 }
 
+/// Test fixtures shared by every xtask test module.
+#[cfg(test)]
+mod fixture {
+    use std::path::PathBuf;
+
+    /// A fresh temp directory holding `(name, content)` files, removed on
+    /// drop.
+    pub struct TmpTree(PathBuf);
+
+    impl TmpTree {
+        pub fn new(files: &[(&str, &str)]) -> Self {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static COUNTER: AtomicUsize = AtomicUsize::new(0);
+            let base = std::env::temp_dir().join(format!(
+                "svbr-xtask-test-{}-{}",
+                std::process::id(),
+                COUNTER.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&base).expect("mkdir");
+            for (name, content) in files {
+                std::fs::write(base.join(name), content).expect("write fixture");
+            }
+            TmpTree(base)
+        }
+
+        /// The path of file `name` in the tree.
+        pub fn path(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for TmpTree {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp_tree(files: &[(&str, &str)]) -> PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let base = std::env::temp_dir().join(format!(
-            "svbr-xtask-test-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        for (rel, content) in files {
-            let path = base.join(rel);
-            std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-            std::fs::write(&path, content).expect("write fixture");
-        }
-        base
-    }
+    use crate::fixture::TmpTree;
 
     #[test]
     fn obsv_report_summarizes_a_trace_file() {
-        let root = tmp_tree(&[(
+        let tree = TmpTree::new(&[(
             "trace.jsonl",
             "{\"t\":\"span\",\"name\":\"pipeline.fit\",\"dur_us\":1500,\"fields\":{}}\n\
              {\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"attenuation\":0.8}}\n",
         )]);
-        let path = root.join("trace.jsonl");
-        assert_eq!(obsv_report(&path.to_string_lossy()), 0);
-        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(obsv_report(&tree.path("trace.jsonl")), 0);
         // Unreadable file: exit 1.
         assert_eq!(obsv_report("/nonexistent/trace.jsonl"), 1);
     }
 
     #[test]
     fn obsv_report_rejects_empty_and_non_jsonl_input() {
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             ("empty.jsonl", "\n  \n"),
             ("garbage.jsonl", "this is not\na trace at all\n"),
             // Truncated mid-record: the one whole line still parses.
@@ -494,11 +545,33 @@ mod tests {
                  {\"t\":\"span\",\"name\":\"pipel",
             ),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
-        assert_eq!(obsv_report(&path("empty.jsonl")), 1);
-        assert_eq!(obsv_report(&path("garbage.jsonl")), 1);
-        assert_eq!(obsv_report(&path("truncated.jsonl")), 0);
-        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(obsv_report(&tree.path("empty.jsonl")), 1);
+        assert_eq!(obsv_report(&tree.path("garbage.jsonl")), 1);
+        assert_eq!(obsv_report(&tree.path("truncated.jsonl")), 0);
+        let trace = obsv::read_trace(&tree.path("truncated.jsonl")).expect("one line parses");
+        assert!(
+            obsv_report_text(&trace).contains("malformed lines: 1\n"),
+            "the truncated record is counted"
+        );
+    }
+
+    #[test]
+    fn span_table_folds_per_name_timing() {
+        let events: Vec<svbr_obsv::Event> = [
+            r#"{"t":"span","name":"a","dur_us":100}"#,
+            r#"{"t":"span","name":"a","dur_us":300,"fields":{"n":8.0}}"#,
+            r#"{"t":"point","name":"p","fields":{"x":1}}"#,
+        ]
+        .iter()
+        .filter_map(|l| svbr_obsv::Event::parse(l))
+        .collect();
+        let table = span_table(&svbr_profile::SpanForest::from_events(&events));
+        // count 2, total 400 µs, mean 200 µs, max 300 µs.
+        assert_eq!(
+            table.lines().nth(2),
+            Some("  a                                   2        0.400        0.200        0.300")
+        );
+        assert_eq!(span_table(&svbr_profile::SpanForest::default()), "");
     }
 
     #[test]
@@ -569,7 +642,7 @@ mod tests {
 
     #[test]
     fn bench_compare_gates_on_a_slowed_case() {
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             (
                 "baseline.json",
                 &bench_json(&[("hosking", 1000.0), ("lindley", 5000.0)]),
@@ -585,7 +658,7 @@ mod tests {
                 &bench_json(&[("hosking", 900.0), ("lindley", 5200.0)]),
             ),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
+        let path = |n: &str| tree.path(n);
         // The slowed fixture fails the gate…
         assert_eq!(
             bench_compare(&path("baseline.json"), &path("current.json"), 0.15),
@@ -606,7 +679,6 @@ mod tests {
             bench_compare(&path("baseline.json"), &path("baseline.json"), 0.15),
             0
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -614,7 +686,7 @@ mod tests {
         // The suite legitimately carries the same case name at two thread
         // counts: the gate must pair rows by (name, n, threads), never by
         // name alone.
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             (
                 "baseline.json",
                 &bench_json_v2(&[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 3000.0)]),
@@ -644,7 +716,7 @@ mod tests {
                 &bench_json_v2(&[("cached", 100, 4, 980.0)]),
             ),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
+        let path = |n: &str| tree.path(n);
         assert_eq!(
             bench_compare(&path("baseline.json"), &path("t4_slowed.json"), 0.15),
             1
@@ -661,7 +733,6 @@ mod tests {
             bench_compare(&path("v1_baseline.json"), &path("v2_current.json"), 0.15),
             0
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     /// Schema-2 fixture with a host header carrying
@@ -692,7 +763,7 @@ mod tests {
         // suite clamps that entry away. The gate must tell this apart from
         // a genuinely dropped bench: skip when the current host cannot run
         // the case, fail when it could have.
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             (
                 "baseline16.json",
                 &bench_json_v2_host(
@@ -715,7 +786,7 @@ mod tests {
                 &bench_json_v2(&[("cached", 4096, 1, 990.0)]),
             ),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
+        let path = |n: &str| tree.path(n);
         // 1-core host cannot run threads=4: skip-with-note, gate passes.
         assert_eq!(
             bench_compare(&path("baseline16.json"), &path("current1.json"), 0.15),
@@ -731,12 +802,11 @@ mod tests {
             bench_compare(&path("baseline16.json"), &path("current_nohost.json"), 0.15),
             1
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn bench_compare_fails_on_missing_case_or_bad_file() {
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             (
                 "baseline.json",
                 &bench_json(&[("hosking", 1000.0), ("lindley", 5000.0)]),
@@ -744,7 +814,7 @@ mod tests {
             ("missing.json", &bench_json(&[("hosking", 1000.0)])),
             ("garbage.json", "not json at all"),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
+        let path = |n: &str| tree.path(n);
         // A case vanishing from the suite is a gate failure, not a skip.
         assert_eq!(
             bench_compare(&path("baseline.json"), &path("missing.json"), 0.15),
@@ -763,16 +833,15 @@ mod tests {
             bench_compare("/nonexistent.json", &path("baseline.json"), 0.15),
             1
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn bench_compare_via_cli_parses_flags() {
-        let root = tmp_tree(&[
+        let tree = TmpTree::new(&[
             ("b.json", &bench_json(&[("hosking", 1000.0)])),
             ("c.json", &bench_json(&[("hosking", 700.0)])),
         ]);
-        let path = |n: &str| root.join(n).to_string_lossy().into_owned();
+        let path = |n: &str| tree.path(n);
         let args = |v: &[String]| v.to_vec();
         assert_eq!(
             run(&args(&[
@@ -794,21 +863,24 @@ mod tests {
             ])),
             0
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn obsv_report_includes_hot_path_table_golden() {
-        let trace = "\
+        let tree = TmpTree::new(&[(
+            "trace.jsonl",
+            "\
 {\"t\":\"span\",\"name\":\"pipeline.fit\",\"start_us\":100,\"dur_us\":1500,\"tid\":0,\"fields\":{}}\n\
 {\"t\":\"span\",\"name\":\"hosking.generate\",\"start_us\":1700,\"dur_us\":2000,\"tid\":0,\"fields\":{}}\n\
 {\"t\":\"span\",\"name\":\"repro.obsv\",\"start_us\":0,\"dur_us\":4000,\"tid\":0,\"fields\":{}}\n\
-{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"attenuation\":0.8}}\n";
+{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"attenuation\":0.8}}\n",
+        )]);
+        let trace = obsv::read_trace(&tree.path("trace.jsonl")).expect("fixture loads");
         let golden_path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obsv_report.txt");
         let golden = std::fs::read_to_string(&golden_path).expect("golden file");
         assert_eq!(
-            obsv_report_text(trace),
+            obsv_report_text(&trace),
             golden,
             "obsv-report output drifted from tests/golden/obsv_report.txt; \
              if the change is intentional, regenerate the golden file"

@@ -1,8 +1,13 @@
-//! `obsv-tail` / `obsv-diff`: flight-recorder window tooling.
+//! The shared trace reader, `obsv-tail` and `obsv-diff`.
 //!
-//! Both subcommands consume the telemetry artifacts a `repro` run writes:
-//! JSONL traces carrying [`Event::Window`] records and run-manifest JSON
-//! files. `obsv-tail` renders the latest window in the Prometheus text
+//! [`read_trace`] is the one function that opens a JSONL trace: every
+//! trace-reading subcommand (`obsv-report`, `obsv-tail`, `obsv-diff`'s trace
+//! side and `trace-report`) goes through it and reports its
+//! [`TraceLoadError`] as one line.
+//!
+//! `obsv-tail` and `obsv-diff` consume the telemetry artifacts a `repro` run
+//! writes: JSONL traces carrying [`Event::Window`] records and run-manifest
+//! JSON files. `obsv-tail` renders the latest window in the Prometheus text
 //! format (and can follow a growing trace); `obsv-diff` compares the final
 //! series of two runs — missing/new series, counter and gauge deltas, and
 //! histogram-shape drift — and exits nonzero when the runs diverge.
@@ -39,14 +44,11 @@ struct LoadedSeries {
     kind: &'static str,
 }
 
-/// Typed failure to load flight-recorder windows from a trace file. Every
-/// variant renders as exactly one line naming the path, and `obsv-tail`
-/// and `obsv-diff` share these variants verbatim — an empty file, a
-/// header-only trace (events but no windows) and truncated/non-JSONL
-/// content all fail with the same one-line shape instead of each tool
-/// wording its own diagnostic.
+/// Typed failure to read a trace file. Every variant renders as exactly
+/// one line naming the path, so every tool reports an unreadable, empty,
+/// non-JSONL or (for the window tools) window-less trace the same way.
 #[derive(Debug, PartialEq, Eq)]
-enum TraceLoadError {
+pub(crate) enum TraceLoadError {
     /// The file cannot be read at all.
     Unreadable { path: String, err: String },
     /// The file exists but holds no bytes (or only whitespace).
@@ -76,44 +78,56 @@ impl std::fmt::Display for TraceLoadError {
     }
 }
 
-/// Load every flight-recorder window of a JSONL trace, in file order.
-fn load_windows(path: &str) -> Result<Vec<(u64, Snapshot)>, TraceLoadError> {
+/// The parsed content of one JSONL trace file.
+pub(crate) struct Trace {
+    /// Every event, in line order.
+    pub events: Vec<Event>,
+    /// Non-blank lines that did not parse as an event (a run killed
+    /// mid-write leaves a truncated last line).
+    pub malformed_lines: u64,
+}
+
+/// Read a JSONL trace. An unreadable or empty file, and one in which no
+/// line parses as an event, are errors.
+pub(crate) fn read_trace(path: &str) -> Result<Trace, TraceLoadError> {
     let text = std::fs::read_to_string(path).map_err(|e| TraceLoadError::Unreadable {
         path: path.to_string(),
         err: e.to_string(),
     })?;
-    if text.trim().is_empty() {
-        return Err(TraceLoadError::Empty {
-            path: path.to_string(),
-        });
+    let mut trace = Trace {
+        events: Vec::new(),
+        malformed_lines: 0,
+    };
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        match Event::parse(line) {
+            Some(ev) => trace.events.push(ev),
+            None => trace.malformed_lines += 1,
+        }
     }
-    let (events, windows) = trace_windows(&text);
-    if events == 0 {
-        return Err(TraceLoadError::NotJsonl {
-            path: path.to_string(),
-        });
+    let path = path.to_string();
+    match (trace.events.is_empty(), trace.malformed_lines) {
+        (true, 0) => Err(TraceLoadError::Empty { path }),
+        (true, _) => Err(TraceLoadError::NotJsonl { path }),
+        (false, _) => Ok(trace),
     }
+}
+
+/// Every flight-recorder window of a JSONL trace, in file order.
+fn load_windows(path: &str) -> Result<Vec<(u64, Snapshot)>, TraceLoadError> {
+    let windows: Vec<(u64, Snapshot)> = read_trace(path)?
+        .events
+        .into_iter()
+        .filter_map(|ev| match ev {
+            Event::Window { seq, snapshot } => Some((seq, snapshot)),
+            _ => None,
+        })
+        .collect();
     if windows.is_empty() {
         return Err(TraceLoadError::NoWindows {
             path: path.to_string(),
         });
     }
     Ok(windows)
-}
-
-/// Parse every [`Event::Window`] out of a JSONL trace body, in file order.
-fn trace_windows(text: &str) -> (usize, Vec<(u64, Snapshot)>) {
-    let mut events = 0usize;
-    let mut windows = Vec::new();
-    for line in text.lines() {
-        if let Some(ev) = Event::parse(line) {
-            events += 1;
-            if let Event::Window { seq, snapshot } = ev {
-                windows.push((seq, snapshot));
-            }
-        }
-    }
-    (events, windows)
 }
 
 /// Reconstruct a [`Snapshot`] from a run-manifest object. Manifest
@@ -450,20 +464,8 @@ pub fn tail(path: &str, once: bool) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::fixture::TmpTree;
     use svbr_obsv::metrics::Registry;
-
-    fn tmp_file(name: &str, content: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "svbr-obsv-tool-{}-{}-{name}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&path, content).expect("write fixture");
-        path
-    }
 
     /// A one-window trace fixture built from a real registry, serialized
     /// through the production `Event::to_jsonl` writer.
@@ -478,8 +480,7 @@ mod tests {
         .add(misses);
         reg.counter("queue.superpositions").add(4);
         reg.gauge("pipeline.hurst").set(0.79);
-        reg.gauge("lrd.hosking.samples_per_sec")
-            .set(samples as f64 * 31.7);
+        reg.histogram("serve.pull_us").record(samples / 7);
         reg.histogram("lrd.fft.len").record(512);
         let ev = Event::Window {
             seq: 0,
@@ -490,21 +491,22 @@ mod tests {
 
     #[test]
     fn same_run_diffs_to_zero_drift() {
-        let a = tmp_file("a.jsonl", &trace_for("hosking", 4096, 2));
-        let b = tmp_file("b.jsonl", &trace_for("hosking", 4096, 2));
-        assert_eq!(diff(&a.to_string_lossy(), &b.to_string_lossy()), 0);
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
+        let tree = TmpTree::new(&[
+            ("a.jsonl", &trace_for("hosking", 4096, 2)),
+            ("b.jsonl", &trace_for("hosking", 4096, 2)),
+        ]);
+        assert_eq!(diff(&tree.path("a.jsonl"), &tree.path("b.jsonl")), 0);
     }
 
     #[test]
-    fn timing_gauges_never_count_as_drift() {
-        // Identical work, different wall-clock throughput: still no drift.
+    fn timing_series_never_count_as_drift() {
+        // Identical work, different wall-clock latency: still no drift.
         let la = load("a", &trace_for("hosking", 4096, 2));
         let mut lb = load("b", &trace_for("hosking", 4096, 2));
-        for (k, v) in &mut lb.snapshot.gauges {
-            if k == "lrd.hosking.samples_per_sec" {
-                *v *= 3.0;
+        for (k, h) in &mut lb.snapshot.histograms {
+            if k == "serve.pull_us" {
+                h.buckets = vec![(2048, h.count)];
+                h.sum *= 3;
             }
         }
         let (report, drift) = diff_report("a", &la, "b", &lb);
@@ -513,10 +515,8 @@ mod tests {
     }
 
     fn load(name: &str, content: &str) -> LoadedSeries {
-        let path = tmp_file(name, content);
-        let loaded = load_series(&path.to_string_lossy()).expect("fixture loads");
-        std::fs::remove_file(&path).ok();
-        loaded
+        let tree = TmpTree::new(&[(name, content)]);
+        load_series(&tree.path(name)).expect("fixture loads")
     }
 
     #[test]
@@ -584,38 +584,35 @@ mod tests {
   "histograms": { "lrd.fft.len": {"count": 1, "sum": 512, "mean": 512} }
 }
 "#;
-        let a = tmp_file("m1.json", manifest);
-        let b = tmp_file("m2.json", manifest);
-        assert_eq!(diff(&a.to_string_lossy(), &b.to_string_lossy()), 0);
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
+        let tree = TmpTree::new(&[("m1.json", manifest), ("m2.json", manifest)]);
+        assert_eq!(diff(&tree.path("m1.json"), &tree.path("m2.json")), 0);
     }
 
     #[test]
     fn loader_fails_with_one_line_errors() {
-        let empty = tmp_file("empty.jsonl", "  \n");
-        let garbage = tmp_file("garbage.jsonl", "this is not json\nat all\n");
-        let windowless = tmp_file(
-            "nowin.jsonl",
-            "{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"a\":1}}\n",
-        );
-        let truncated = tmp_file("trunc.json", "{\"name\": \"repro\", \"counters\": {");
-        for (path, needle) in [
-            (&empty, "is empty"),
-            (&garbage, "neither a JSONL trace nor a run manifest"),
-            (&windowless, "no flight-recorder windows"),
-            (&truncated, "neither a JSONL trace nor a run manifest"),
+        let tree = TmpTree::new(&[
+            ("empty.jsonl", "  \n"),
+            ("garbage.jsonl", "this is not json\nat all\n"),
+            (
+                "nowin.jsonl",
+                "{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"a\":1}}\n",
+            ),
+            ("trunc.json", "{\"name\": \"repro\", \"counters\": {"),
+        ]);
+        for (name, needle) in [
+            ("empty.jsonl", "is empty"),
+            ("garbage.jsonl", "neither a JSONL trace nor a run manifest"),
+            ("nowin.jsonl", "no flight-recorder windows"),
+            ("trunc.json", "neither a JSONL trace nor a run manifest"),
         ] {
-            let err = load_series(&path.to_string_lossy()).expect_err("must fail");
+            let err = load_series(&tree.path(name)).expect_err("must fail");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
             assert!(!err.contains('\n'), "one-line error: `{err}`");
         }
-        assert_eq!(diff(&empty.to_string_lossy(), &empty.to_string_lossy()), 1);
-        assert_eq!(tail(&garbage.to_string_lossy(), true), 1);
-        assert_eq!(tail(&windowless.to_string_lossy(), true), 1);
-        for p in [empty, garbage, windowless, truncated] {
-            std::fs::remove_file(&p).ok();
-        }
+        let empty = tree.path("empty.jsonl");
+        assert_eq!(diff(&empty, &empty), 1);
+        assert_eq!(tail(&tree.path("garbage.jsonl"), true), 1);
+        assert_eq!(tail(&tree.path("nowin.jsonl"), true), 1);
         assert_eq!(diff("/nonexistent/a.jsonl", "/nonexistent/b.jsonl"), 1);
         assert_eq!(tail("/nonexistent/trace.jsonl", true), 1);
     }
@@ -626,26 +623,25 @@ mod tests {
         // yet ("header-only"), and truncated JSON. `--once` must exit 1 on
         // each with the shared one-line typed error — not hang in follow
         // mode and not invent per-tool wording.
-        let empty = tmp_file("once-empty.jsonl", "");
-        let header_only = tmp_file(
-            "once-header.jsonl",
-            "{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"a\":1}}\n",
-        );
-        let truncated = tmp_file("once-trunc.jsonl", "{\"t\":\"window\",\"seq\":0,");
-        for (path, needle) in [
-            (&empty, "is empty"),
-            (&header_only, "has no flight-recorder windows"),
-            (&truncated, "is not a JSONL trace"),
+        let tree = TmpTree::new(&[
+            ("once-empty.jsonl", ""),
+            (
+                "once-header.jsonl",
+                "{\"t\":\"point\",\"name\":\"pipeline.iteration\",\"fields\":{\"a\":1}}\n",
+            ),
+            ("once-trunc.jsonl", "{\"t\":\"window\",\"seq\":0,"),
+        ]);
+        for (name, needle) in [
+            ("once-empty.jsonl", "is empty"),
+            ("once-header.jsonl", "has no flight-recorder windows"),
+            ("once-trunc.jsonl", "is not a JSONL trace"),
         ] {
-            let path = path.to_string_lossy();
+            let path = tree.path(name);
             assert_eq!(tail(&path, true), 1);
             let err = load_windows(&path).expect_err("must fail").to_string();
-            assert!(err.contains(&*path), "error must name the path: `{err}`");
+            assert!(err.contains(&path), "error must name the path: `{err}`");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
             assert!(!err.contains('\n'), "one-line error: `{err}`");
-        }
-        for p in [empty, header_only, truncated] {
-            std::fs::remove_file(&p).ok();
         }
     }
 
@@ -660,12 +656,11 @@ mod tests {
             snapshot: reg.snapshot(),
         };
         body.push_str(&format!("{}\n", ev.to_jsonl()));
-        let path = tmp_file("tail.jsonl", &body);
-        assert_eq!(tail(&path.to_string_lossy(), true), 0);
+        let tree = TmpTree::new(&[("tail.jsonl", &body)]);
+        assert_eq!(tail(&tree.path("tail.jsonl"), true), 0);
         let rendered = render_window("t", 1, 2, &reg.snapshot());
         assert!(rendered.starts_with("-- obsv-tail t: window seq=1 (2 window(s), 1 series) --\n"));
         assert!(rendered.contains("queue_superpositions 9\n"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
