@@ -1,9 +1,9 @@
 //! `resilience` — the supervised, checkpointable reference run.
 //!
 //! A chunked generation → transform → queue pipeline driven entirely from
-//! explicit, checkpointable state: xoshiro words, the polar sampler's
-//! spare variate, the Hosking φ/v recursion, the Lindley backlog, partial
-//! moment sums and the per-chunk result rows. Each chunk executes under a
+//! explicit state: xoshiro words, the polar sampler's spare variate, the
+//! Hosking φ/v recursion, the Lindley backlog, partial moment sums and the
+//! per-chunk result rows. Each chunk executes under a
 //! [`Supervisor`] (`catch_unwind` + retry budget + optional wall-clock
 //! deadline); a retried attempt restarts from a clone of the committed
 //! state, so recovery is bit-identical to never having failed. After every
@@ -13,8 +13,10 @@
 //!
 //! The background comes from svbr-serve's chunk generator
 //! ([`svbr_serve::generate_chunk`]) and its generation state
-//! ([`GenState`], checkpointed through [`GenState::write_into`]), so this
-//! run and a served stream share one implementation of every tier. The
+//! ([`GenState`]), so this run and a served stream share one
+//! implementation of every tier. Like a served session, the checkpoint
+//! holds only the generation cursor ([`GenCursor::write_into`]) and the
+//! model key; resume replays the background up to the cursor. The
 //! generator walks the degradation ladder (Hosking exact → truncated AR on
 //! the last p samples → Davies–Harte per-chunk blocks) under deadline
 //! pressure; the chosen tier and its measured ACF error are stamped into
@@ -35,7 +37,7 @@ use svbr_resilience::degrade::{prepare_table, sample_acf_error, GeneratorTier, L
 use svbr_resilience::fault::{self, FaultKind};
 use svbr_resilience::record_event;
 use svbr_resilience::supervisor::{Deadline, RetryPolicy, Supervisor};
-use svbr_serve::{generate_chunk, GenState};
+use svbr_serve::{generate_chunk, GenCursor, GenState, ModelKey};
 
 type AnyResult = Result<(), Box<dyn std::error::Error>>;
 type AnyError = Box<dyn std::error::Error>;
@@ -117,9 +119,10 @@ struct ChunkRow {
     over0: u64,
 }
 
-/// The full committed state of the run: everything a checkpoint carries
-/// and everything a retried chunk restarts from. `gen` is svbr-serve's
-/// generation state; its `delivered` cursor counts committed chunks.
+/// The full committed state of the run: everything a retried chunk
+/// restarts from. `gen` is svbr-serve's generation state; its `delivered`
+/// cursor counts committed chunks. A checkpoint carries only `gen`'s
+/// cursor, and resume replays the rest of `gen`.
 #[derive(Debug, Clone)]
 struct RunState {
     gen: GenState,
@@ -144,9 +147,10 @@ impl RunState {
         }
     }
 
-    fn to_checkpoint(&self, seed: u64) -> Checkpoint {
+    fn to_checkpoint(&self, seed: u64, model: &ModelKey) -> Checkpoint {
         let mut ck = Checkpoint::new("resilience", seed);
-        self.gen.write_into(&mut ck);
+        self.gen.cursor().write_into(&mut ck);
+        model.write_into(&mut ck);
         ck.set_scalar("backlog", self.backlog);
         ck.set_words("slots", &[self.slots]);
         ck.set_scalar("sum_y", self.sum_y);
@@ -175,7 +179,16 @@ impl RunState {
         ck
     }
 
-    fn from_checkpoint(ck: &Checkpoint) -> Result<Self, AnyError> {
+    /// Restore a checkpointed run; the background is replayed up to the
+    /// cursor on `table`.
+    fn from_checkpoint(
+        ck: &Checkpoint,
+        model: &ModelKey,
+        table: &TabulatedAcf,
+        transform: &GaussianTransform<Lognormal>,
+        chunk_len: usize,
+    ) -> Result<Self, AnyError> {
+        model.check(ck)?;
         let overflow_words = ck.require_words("overflows")?;
         if overflow_words.len() != 3 {
             return Err("checkpoint: overflows must be 3 words".into());
@@ -203,7 +216,7 @@ impl RunState {
         let mut overflows = [0u64; 3];
         overflows.copy_from_slice(overflow_words);
         Ok(Self {
-            gen: GenState::read_from(ck)?,
+            gen: GenCursor::read_from(ck)?.replay(ck.seed, table, transform, chunk_len)?,
             backlog: ck.require_scalar("backlog")?,
             slots: ck.require_words("slots")?.first().copied().unwrap_or(0),
             sum_y: ck.require_scalar("sum_y")?,
@@ -308,6 +321,7 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
     let service = mean / UTILIZATION;
     let buffers: [f64; 3] = [BUFFERS[0] * mean, BUFFERS[1] * mean, BUFFERS[2] * mean];
     let transform = GaussianTransform::new(marginal);
+    let model = ModelKey::new(HURST, &table);
 
     // --- state: fresh, or resumed from a checkpoint ----------------------
     let mut state = match &cfg.resume {
@@ -322,7 +336,7 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
                 )
                 .into());
             }
-            let st = RunState::from_checkpoint(&ck)?;
+            let st = RunState::from_checkpoint(&ck, &model, &table, &transform, cfg.chunk_len)?;
             record_event(format!(
                 "resumed: checkpoint {} at chunk {}",
                 path.display(),
@@ -399,7 +413,7 @@ pub fn resilience_run(cfg: &ResilienceConfig, out: &mut dyn Write) -> AnyResult 
             if state.gen.delivered.is_multiple_of(cfg.ckpt_every)
                 || state.gen.delivered == cfg.chunks
             {
-                state.to_checkpoint(cfg.seed).write_atomic(path)?;
+                state.to_checkpoint(cfg.seed, &model).write_atomic(path)?;
             }
         }
         if cfg.stop_after == Some(state.gen.delivered) {

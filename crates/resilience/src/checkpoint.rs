@@ -165,27 +165,40 @@ impl Checkpoint {
     }
 
     /// Serialize to the textual format (including the checksum trailer).
+    /// Hex digits are written straight into one buffer sized up front, so
+    /// a checkpoint of row vectors costs no allocation per value.
     pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!("name={}\n", self.name));
-        out.push_str(&format!("seed={}\n", self.seed));
-        out.push_str(&format!("cursor={}\n", self.cursor));
+        use std::fmt::Write as _;
+        // 17 bytes per value: 16 hex digits and a separator.
+        let values = self.scalars.len()
+            + self.words.iter().map(|(_, w)| w.len()).sum::<usize>()
+            + self.vectors.iter().map(|(_, v)| v.len()).sum::<usize>();
+        let mut out = String::with_capacity(256 + self.name.len() + 17 * values);
+        // Writing to a String cannot fail.
+        let _ = write!(
+            out,
+            "{MAGIC}\nname={}\nseed={}\ncursor={}\n",
+            self.name, self.seed, self.cursor
+        );
         for (k, ws) in &self.words {
-            out.push_str(&format!("words.{k}="));
-            push_join(&mut out, ws.iter().map(|w| format!("{w:016x}")));
+            let _ = write!(out, "words.{k}=");
+            push_join(&mut out, ws.iter().copied());
             out.push('\n');
         }
         for (k, v) in &self.scalars {
-            out.push_str(&format!("scalar.{k}={:016x}\n", v.to_bits()));
-        }
-        for (k, vs) in &self.vectors {
-            out.push_str(&format!("vec.{k}="));
-            push_join(&mut out, vs.iter().map(|v| format!("{:016x}", v.to_bits())));
+            let _ = write!(out, "scalar.{k}=");
+            push_hex(&mut out, v.to_bits());
             out.push('\n');
         }
-        out.push_str(&format!("sum={:016x}\n", fnv1a(out.as_bytes())));
+        for (k, vs) in &self.vectors {
+            let _ = write!(out, "vec.{k}=");
+            push_join(&mut out, vs.iter().map(|v| v.to_bits()));
+            out.push('\n');
+        }
+        let sum = fnv1a(out.as_bytes());
+        out.push_str("sum=");
+        push_hex(&mut out, sum);
+        out.push('\n');
         out
     }
 
@@ -297,12 +310,21 @@ fn key_ok(key: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
 }
 
-fn push_join(out: &mut String, items: impl Iterator<Item = String>) {
-    for (i, item) in items.enumerate() {
+/// Append `words` as comma-separated 16-digit lower-case hex.
+fn push_join(out: &mut String, words: impl Iterator<Item = u64>) {
+    for (i, w) in words.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&item);
+        push_hex(out, w);
+    }
+}
+
+/// Append `w` as 16 lower-case hex digits (`{w:016x}`).
+fn push_hex(out: &mut String, w: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..16).rev() {
+        out.push(DIGITS[(w >> (4 * shift)) as usize & 0xf] as char);
     }
 }
 
@@ -354,6 +376,29 @@ mod tests {
         assert_eq!(parsed.require_vector("empty")?.len(), 0);
         assert_eq!(parsed.require_words("rng")?, &[1, u64::MAX, 0, 42]);
         Ok(())
+    }
+
+    #[test]
+    fn text_spells_every_value_as_016x() {
+        let c = sample();
+        let hex = |ws: &[u64]| {
+            ws.iter()
+                .map(|w| format!("{w:016x}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let bits = |vs: &[f64]| hex(&vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let body = format!(
+            "{MAGIC}\nname=resilience\nseed={}\ncursor=12\nwords.rng={}\n\
+             scalar.backlog={:016x}\nscalar.weird={:016x}\nvec.phi={}\nvec.empty=\n",
+            0xdead_beef_u64,
+            hex(&[1, u64::MAX, 0, 42]),
+            3.75f64.to_bits(),
+            (-0.0f64).to_bits(),
+            bits(&[0.1, -0.2, f64::MIN_POSITIVE, 1e300]),
+        );
+        let expect = format!("{body}sum={:016x}\n", fnv1a(body.as_bytes()));
+        assert_eq!(c.to_text(), expect);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   pulls chunked synthetic traffic. Generation state is the same explicit
 //!   [`svbr_resilience`] state the reference run uses (xoshiro words, polar
 //!   spare, Hosking φ/v recursion), so every chunk is a pure function of
-//!   the session seed and the chunk index.
+//!   the session seed and the tier of each chunk so far.
 //! * **Backpressure** — each session generates into a *bounded* channel
 //!   ([`std::sync::mpsc::sync_channel`]); a slow reader blocks only its own
 //!   worker, never another session's, and readahead is capped at the
@@ -26,11 +26,13 @@
 //!   [`svbr_resilience::LadderExhausted`] history — a *recorded* terminal
 //!   state, never a silent hang.
 //! * **Crash recovery** — delivered chunks are checkpointed on a
-//!   work-count tick ([`svbr_resilience::CkptRng`] state and friends, via
-//!   [`svbr_resilience::Checkpoint`]); a SIGKILLed server restarted with
-//!   `--resume` continues every live session bit-identically. Checkpoints
-//!   trail delivery, so a crash can only re-send chunks (byte-identical
-//!   duplicates the client dedupes by index), never skip them.
+//!   work-count tick as spec, cursor, tier starts and model key (a few
+//!   hundred bytes, via [`svbr_resilience::Checkpoint`]); a SIGKILLed
+//!   server restarted with `--resume` replays every live session up to its
+//!   cursor on the session's own worker and continues bit-identically.
+//!   Checkpoints trail delivery, so a crash can only re-send chunks
+//!   (byte-identical duplicates the client dedupes by index), never skip
+//!   them.
 //!
 //! The `svbr-serve` binary speaks a deliberately tiny HTTP/1.0 protocol
 //! (`/open`, `/pull`, `/close`, `/metrics`, `/shutdown` — curl-able; see
@@ -47,8 +49,8 @@ pub mod session;
 
 pub use server::{PullOutcome, Server, ServerConfig};
 pub use session::{
-    drain_session, generate_chunk, generate_chunk_into, ChunkScratch, GenState, SessionSpec,
-    SessionState, WorkerMsg,
+    drain_session, generate_chunk, generate_chunk_into, ChunkScratch, GenCursor, GenState,
+    ModelKey, SessionSpec, SessionState, WorkerMsg,
 };
 
 use svbr_resilience::CheckpointError;
@@ -88,6 +90,10 @@ pub enum ServeError {
     Generate(String),
     /// Checkpoint persistence or restore failed.
     Checkpoint(CheckpointError),
+    /// A checkpoint this server cannot resume bit-identically: written in
+    /// an older layout, or under another model (Hurst parameter or table
+    /// horizon).
+    IncompatibleCheckpoint(String),
     /// Socket-level I/O failed.
     Io(std::io::Error),
 }
@@ -112,6 +118,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Generate(msg) => write!(f, "generation failed: {msg}"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            ServeError::IncompatibleCheckpoint(msg) => write!(f, "incompatible checkpoint: {msg}"),
             ServeError::Io(e) => write!(f, "io: {e}"),
         }
     }

@@ -13,11 +13,11 @@
 //! creates a gap — at worst the restarted server re-serves chunks the
 //! client already saw, byte-identically, and the client dedupes by index.
 
-use crate::session::{run_session, GenState, SessionSpec, SessionState, WorkerMsg};
+use crate::session::{run_session, GenCursor, ModelKey, SessionSpec, SessionState, WorkerMsg};
 use crate::ServeError;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -88,9 +88,9 @@ struct Session {
     spec: SessionSpec,
     state: SessionState,
     degraded: bool,
-    /// Post-state of the last delivered chunk, persisted on the *next*
+    /// Cursor after the last delivered chunk, persisted on the *next*
     /// pull (delivery-then-checkpoint; see module docs).
-    pending_ckpt: Option<(u64, GenState)>,
+    pending_ckpt: Option<GenCursor>,
     rx: Option<Arc<Mutex<Receiver<WorkerMsg>>>>,
     fail_reason: Option<String>,
 }
@@ -99,6 +99,8 @@ struct Inner {
     cfg: ServerConfig,
     table: TabulatedAcf,
     transform: GaussianTransform<Lognormal>,
+    /// Hurst parameter and table horizon, stamped into every checkpoint.
+    model: ModelKey,
     sessions: Mutex<BTreeMap<u64, Session>>,
     state_counts: Mutex<BTreeMap<&'static str, u64>>,
     next_id: AtomicU64,
@@ -106,6 +108,9 @@ struct Inner {
     /// and by every worker's pressure probe.
     active: AtomicUsize,
     shutdown: AtomicBool,
+    /// Where [`Server::request_shutdown`] connects to wake a blocked
+    /// `accept`: the listener's address, loopback when it is unspecified.
+    wake_addr: Mutex<Option<SocketAddr>>,
 }
 
 /// The session server. Cheap to clone-share via its inner [`Arc`].
@@ -166,11 +171,19 @@ impl Inner {
         }
     }
 
-    /// Persist a pending post-chunk state when the work-count tick is due.
+    /// A session's checkpoint: spec, cursor, tier starts and model key.
+    fn checkpoint(&self, spec: &SessionSpec, cursor: &GenCursor) -> Checkpoint {
+        let mut ck = cursor.to_checkpoint(spec);
+        self.model.write_into(&mut ck);
+        ck
+    }
+
+    /// Persist a pending post-chunk cursor when the work-count tick is due.
     fn flush_pending_ckpt(&self, sess: &mut Session) -> Result<(), ServeError> {
-        let Some((delivered, post)) = sess.pending_ckpt.take() else {
+        let Some(post) = sess.pending_ckpt.take() else {
             return Ok(());
         };
+        let delivered = post.delivered;
         let due =
             delivered.is_multiple_of(self.cfg.ckpt_every.max(1)) || delivered == sess.spec.chunks;
         if !due {
@@ -178,7 +191,7 @@ impl Inner {
         }
         if let Some(path) = self.ckpt_path(sess.spec.id) {
             let t0 = svbr_obsv::enabled().then(svbr_obsv::now_us);
-            post.to_checkpoint(&sess.spec).write_atomic(&path)?;
+            self.checkpoint(&sess.spec, &post).write_atomic(&path)?;
             // The checkpoint acknowledges the previously delivered chunk:
             // its span joins that chunk's trace under the server pull span.
             if let Some(t0) = t0 {
@@ -219,6 +232,7 @@ impl Server {
         }
         Ok(Self {
             inner: Arc::new(Inner {
+                model: ModelKey::new(cfg.hurst, &table),
                 cfg,
                 table,
                 transform: GaussianTransform::new(marginal),
@@ -227,6 +241,7 @@ impl Server {
                 next_id: AtomicU64::new(1),
                 active: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
+                wake_addr: Mutex::new(None),
             }),
         })
     }
@@ -280,18 +295,18 @@ impl Server {
             chunks,
             deadline_ms,
         };
-        let start = GenState::fresh(seed);
+        let start = GenCursor::default();
         // Durable before the first chunk, so a crash between open and
         // first delivery still resumes the session.
         if let Some(path) = self.inner.ckpt_path(id) {
-            start.to_checkpoint(&spec).write_atomic(&path)?;
+            self.inner.checkpoint(&spec, &start).write_atomic(&path)?;
         }
         self.install_session(spec, start, SessionState::Open);
         Ok(id)
     }
 
     /// Insert a session record and spawn its worker.
-    fn install_session(&self, spec: SessionSpec, start: GenState, state: SessionState) {
+    fn install_session(&self, spec: SessionSpec, start: GenCursor, state: SessionState) {
         let rx = self.spawn_worker(spec.clone(), start);
         let sess = Session {
             spec: spec.clone(),
@@ -306,7 +321,10 @@ impl Server {
         lock(&self.inner.sessions).insert(spec.id, sess);
     }
 
-    fn spawn_worker(&self, spec: SessionSpec, start: GenState) -> Receiver<WorkerMsg> {
+    /// Spawn the session's worker. It first replays the stream up to
+    /// `start` (nothing for a new session), so resuming many sessions runs
+    /// their replays in parallel rather than one after another.
+    fn spawn_worker(&self, spec: SessionSpec, start: GenCursor) -> Receiver<WorkerMsg> {
         let (tx, rx) = mpsc::sync_channel(self.inner.cfg.buffer_chunks.max(1));
         let inner = Arc::clone(&self.inner);
         #[expect(
@@ -314,8 +332,17 @@ impl Server {
             reason = "one supervised worker per session behind a bounded channel; a blocked (slow) client parks only this thread"
         )]
         std::thread::spawn(move || {
+            let state =
+                match start.replay(spec.seed, &inner.table, &inner.transform, spec.chunk_len) {
+                    Ok(state) => state,
+                    Err(e) => {
+                        let reason = format!("resume replay: {e}");
+                        let _ = tx.send(WorkerMsg::Failed { reason });
+                        return;
+                    }
+                };
             let pressure = || inner.active.load(Ordering::SeqCst) >= inner.cfg.degrade_watermark;
-            run_session(&spec, start, &inner.table, &inner.transform, pressure, &tx);
+            run_session(&spec, state, &inner.table, &inner.transform, pressure, &tx);
         });
         rx
     }
@@ -418,7 +445,7 @@ impl Server {
                 {
                     self.inner.set_state(sess, SessionState::Streaming);
                 }
-                sess.pending_ckpt = Some((idx + 1, post));
+                sess.pending_ckpt = Some(post);
                 Ok(PullOutcome::Chunk(body))
             }
             Ok(WorkerMsg::Done) => {
@@ -454,8 +481,10 @@ impl Server {
     }
 
     /// Restore every checkpointed session from the checkpoint directory
-    /// (state `resumed`, generation continuing bit-identically). Returns
-    /// how many sessions were restored.
+    /// (state `resumed`, generation continuing bit-identically once the
+    /// session's worker has replayed it up to its cursor). Returns how
+    /// many sessions were restored. A checkpoint in an older layout or
+    /// from another model fails with [`ServeError::IncompatibleCheckpoint`].
     pub fn resume_sessions(&self) -> Result<usize, ServeError> {
         let Some(dir) = self.inner.cfg.ckpt_dir.clone() else {
             return Ok(0);
@@ -471,7 +500,8 @@ impl Server {
                 continue;
             }
             let ck = Checkpoint::load(&path)?;
-            let (spec, state) = GenState::from_checkpoint(&ck)?;
+            let (spec, cursor) = GenCursor::from_checkpoint(&ck)?;
+            self.inner.model.check(&ck)?;
             let next = self.inner.next_id.load(Ordering::SeqCst);
             self.inner
                 .next_id
@@ -479,18 +509,25 @@ impl Server {
             record_event(format!(
                 "resumed: session {} at chunk {} (tier {})",
                 spec.id,
-                state.delivered,
-                state.tier.name()
+                cursor.delivered,
+                cursor.tier.name()
             ));
-            self.install_session(spec, state, SessionState::Resumed);
+            self.install_session(spec, cursor, SessionState::Resumed);
             restored += 1;
         }
         Ok(restored)
     }
 
-    /// Ask the accept loop to exit after the current iteration.
+    /// Ask the accept loop to exit, and wake it from its blocking
+    /// `accept` with a throwaway connection to the listener.
     pub fn request_shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // `serve_on` records the address before it first reads the flag,
+        // so either it sees the flag or this sees the address.
+        if let Some(addr) = *lock(&self.inner.wake_addr) {
+            // A refused connect means the listener is already closed.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// Bind the configured listen address.
@@ -499,14 +536,25 @@ impl Server {
     }
 
     /// Serve the HTTP front end on `listener` until
-    /// [`Server::request_shutdown`] (e.g. via `GET /shutdown`).
+    /// [`Server::request_shutdown`] (e.g. via `GET /shutdown`). The loop
+    /// blocks in `accept`; the shutdown request wakes it.
     pub fn serve_on(&self, listener: TcpListener) -> Result<(), ServeError> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        *lock(&self.inner.wake_addr) = Some(wake);
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
             match listener.accept() {
+                // The wake-up connection (or a client racing shutdown).
+                Ok(_) if self.inner.shutdown.load(Ordering::SeqCst) => return Ok(()),
                 Ok((stream, _peer)) => {
                     let inner = Arc::clone(&self.inner);
                     #[expect(
@@ -515,9 +563,8 @@ impl Server {
                     )]
                     std::thread::spawn(move || handle_conn(&Server { inner }, stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // A real accept error (e.g. out of file descriptors): back
+                // off rather than spin on it.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
@@ -532,7 +579,10 @@ fn status_of(e: &ServeError) -> u16 {
         ServeError::SessionFailed { .. } => 410,
         ServeError::PullTimeout(_) => 504,
         ServeError::BadRequest(_) | ServeError::TooLong { .. } => 400,
-        ServeError::Generate(_) | ServeError::Checkpoint(_) | ServeError::Io(_) => 500,
+        ServeError::Generate(_)
+        | ServeError::Checkpoint(_)
+        | ServeError::IncompatibleCheckpoint(_)
+        | ServeError::Io(_) => 500,
     }
 }
 
@@ -673,8 +723,10 @@ fn handle_conn(server: &Server, mut stream: TcpStream) {
             respond(&mut stream, 200, &text);
         }
         "/shutdown" => {
-            server.request_shutdown();
+            // Answer first: the woken accept loop returns at once, and the
+            // process may exit before a later write would happen.
             respond(&mut stream, 200, "shutting down\n");
+            server.request_shutdown();
         }
         _ => respond(&mut stream, 404, "unknown route\n"),
     }
@@ -1030,6 +1082,112 @@ mod tests {
             Ok(Ok(())) => {}
             other => panic!("accept loop: {other:?}"),
         }
+    }
+
+    /// Run `serve_on` on a fresh listener in its own thread; the receiver
+    /// gets its result when the loop exits.
+    fn spawn_accept(
+        server: &Server,
+    ) -> (
+        std::net::SocketAddr,
+        mpsc::Receiver<Result<(), ServeError>>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let listener = match server.bind() {
+            Ok(l) => l,
+            Err(e) => panic!("{e}"),
+        };
+        let addr = match listener.local_addr() {
+            Ok(a) => a,
+            Err(e) => panic!("{e}"),
+        };
+        let inner = Arc::clone(&server.inner);
+        let (tx, rx) = mpsc::sync_channel(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness: the accept loop must block in its own thread while the test asks it to stop"
+        )]
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(Server { inner }.serve_on(listener));
+        });
+        // Give the loop time to block in accept. Stopping it earlier would
+        // also pass (it reads the flag first), but test less.
+        std::thread::sleep(Duration::from_millis(50));
+        (addr, rx, handle)
+    }
+
+    #[test]
+    fn request_shutdown_ends_an_idle_accept_loop_within_a_second() {
+        let server = match Server::new(test_cfg(None)) {
+            Ok(s) => s,
+            Err(e) => panic!("{e}"),
+        };
+        let (_, done, handle) = spawn_accept(&server);
+        server.request_shutdown();
+        match done.recv_timeout(Duration::from_secs(1)) {
+            Ok(Ok(())) => {}
+            other => panic!("accept loop did not stop within 1 s: {other:?}"),
+        }
+        assert!(handle.join().is_ok());
+    }
+
+    #[test]
+    fn get_shutdown_ends_an_idle_accept_loop_within_a_second() {
+        let server = match Server::new(test_cfg(None)) {
+            Ok(s) => s,
+            Err(e) => panic!("{e}"),
+        };
+        let (addr, done, handle) = spawn_accept(&server);
+        let mut stream = match TcpStream::connect(addr) {
+            Ok(s) => s,
+            Err(e) => panic!("connect: {e}"),
+        };
+        let _ = write!(stream, "GET /shutdown HTTP/1.0\r\n\r\n");
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        assert!(reply.ends_with("shutting down\n"), "{reply:?}");
+        match done.recv_timeout(Duration::from_secs(1)) {
+            Ok(Ok(())) => {}
+            other => panic!("accept loop did not stop within 1 s: {other:?}"),
+        }
+        assert!(handle.join().is_ok());
+    }
+
+    #[test]
+    fn resume_refuses_checkpoints_from_another_model() {
+        let dir = tmp_dir("model");
+        let server = match Server::new(test_cfg(Some(dir.clone()))) {
+            Ok(s) => s,
+            Err(e) => panic!("{e}"),
+        };
+        let id = match server.open_session(17, 16, 4, None) {
+            Ok(id) => id,
+            Err(e) => panic!("{e}"),
+        };
+        assert!(matches!(server.pull_chunk(id), Ok(PullOutcome::Chunk(_))));
+        drop(server);
+        let mut other_hurst = test_cfg(Some(dir.clone()));
+        other_hurst.hurst = 0.7;
+        let mut other_horizon = test_cfg(Some(dir.clone()));
+        other_horizon.max_session_samples = 512;
+        for cfg in [other_hurst, other_horizon] {
+            let revived = match Server::new(cfg) {
+                Ok(s) => s,
+                Err(e) => panic!("{e}"),
+            };
+            match revived.resume_sessions() {
+                Err(ServeError::IncompatibleCheckpoint(msg)) => {
+                    assert!(msg.contains("hurst"), "{msg}");
+                }
+                other => panic!("expected IncompatibleCheckpoint, got {other:?}"),
+            }
+        }
+        let same = match Server::new(test_cfg(Some(dir.clone()))) {
+            Ok(s) => s,
+            Err(e) => panic!("{e}"),
+        };
+        assert!(matches!(same.resume_sessions(), Ok(1)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The set of traced span identities for `seed`'s chunks: every

@@ -1,10 +1,12 @@
 //! Session state, chunk generation and the supervised session worker.
 //!
-//! A session's entire generation state is the explicit, checkpointable
-//! [`GenState`]: xoshiro words, the polar sampler's spare variate, the
-//! Hosking φ/v recursion and the delivered-chunk cursor. Chunk `k` is a
-//! pure function of `(seed, k)` on a fixed tier, which is what makes the
-//! kill-and-resume CI job's byte comparison meaningful.
+//! A session's entire generation state is the explicit [`GenState`]:
+//! xoshiro words, the polar sampler's spare variate, the Hosking φ/v
+//! recursion and the delivered-chunk cursor. Chunk `k` is a pure function
+//! of the seed and the tiers of chunks `0..=k`, so a checkpoint holds only
+//! the [`GenCursor`] (cursor and tier starts) and resume replays the
+//! stream up to it — which is what makes the kill-and-resume CI job's byte
+//! comparison meaningful.
 //!
 //! [`run_session`] is the worker loop: each chunk executes under a fresh
 //! [`Supervisor`] (retry budget + optional per-chunk [`Deadline`]); a
@@ -95,10 +97,15 @@ impl SessionState {
     }
 }
 
-/// The full committed generation state of a session — everything a
-/// checkpoint carries and everything a retried chunk restarts from.
-/// `repro resilience` drives its background through the same state and
-/// [`generate_chunk`], so the workspace has one chunk generator per tier.
+/// Marks a ladder tier no chunk of the stream has been generated on.
+pub const NOT_REACHED: u64 = u64::MAX;
+
+/// The full committed generation state of a session — everything a retried
+/// chunk restarts from. A checkpoint holds only its [`GenCursor`]: the
+/// background is a deterministic function of the seed and the tier of each
+/// chunk, so [`GenCursor::replay`] rebuilds the rest. `repro resilience`
+/// drives its background through the same state and [`generate_chunk`], so
+/// the workspace has one chunk generator per tier.
 #[derive(Debug, PartialEq)]
 pub struct GenState {
     /// xoshiro256++ state words.
@@ -111,10 +118,15 @@ pub struct GenState {
     pub phi: Vec<f64>,
     /// Innovation variance of the recursion.
     pub v: f64,
-    /// Current generator tier (resumes stay on the checkpointed tier).
+    /// Tier of the last generated chunk (resumes stay on it).
     pub tier: GeneratorTier,
     /// Chunks committed (equals the next chunk index).
     pub delivered: u64,
+    /// First chunk index generated on each tier, by
+    /// [`GeneratorTier::index`]; [`NOT_REACHED`] for a tier no chunk used.
+    /// The ladder only steps down, so these three words give the tier of
+    /// every chunk.
+    pub tier_starts: [u64; 3],
 }
 
 impl Clone for GenState {
@@ -127,6 +139,7 @@ impl Clone for GenState {
             v: self.v,
             tier: self.tier,
             delivered: self.delivered,
+            tier_starts: self.tier_starts,
         }
     }
 
@@ -142,6 +155,7 @@ impl Clone for GenState {
         self.v = src.v;
         self.tier = src.tier;
         self.delivered = src.delivered;
+        self.tier_starts = src.tier_starts;
     }
 }
 
@@ -156,10 +170,53 @@ impl GenState {
             v: 1.0,
             tier: GeneratorTier::HoskingExact,
             delivered: 0,
+            tier_starts: [NOT_REACHED; 3],
         }
     }
 
-    /// Serialize spec + state into an atomic checkpoint.
+    /// The cursor a checkpoint of this state holds.
+    pub fn cursor(&self) -> GenCursor {
+        GenCursor {
+            delivered: self.delivered,
+            tier: self.tier,
+            tier_starts: self.tier_starts,
+        }
+    }
+
+    /// Serialize spec + cursor into a checkpoint
+    /// ([`GenCursor::to_checkpoint`]).
+    pub fn to_checkpoint(&self, spec: &SessionSpec) -> Checkpoint {
+        self.cursor().to_checkpoint(spec)
+    }
+}
+
+/// Where a stream stands: the chunk cursor, the tier of the last chunk and
+/// the first chunk on each tier. This is all a checkpoint holds of the
+/// generation state; [`GenCursor::replay`] regenerates the rest from the
+/// seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GenCursor {
+    /// Chunks committed (equals the next chunk index).
+    pub delivered: u64,
+    /// Tier of the last generated chunk.
+    pub tier: GeneratorTier,
+    /// See [`GenState::tier_starts`].
+    pub tier_starts: [u64; 3],
+}
+
+impl Default for GenCursor {
+    /// The cursor of a fresh stream: nothing generated yet.
+    fn default() -> Self {
+        Self {
+            delivered: 0,
+            tier: GeneratorTier::HoskingExact,
+            tier_starts: [NOT_REACHED; 3],
+        }
+    }
+}
+
+impl GenCursor {
+    /// Serialize spec + cursor into an atomic checkpoint.
     pub fn to_checkpoint(&self, spec: &SessionSpec) -> Checkpoint {
         let mut ck = Checkpoint::new(CKPT_NAME, spec.seed);
         ck.set_words(
@@ -176,9 +233,9 @@ impl GenState {
         ck
     }
 
-    /// Restore spec + state from a checkpoint written by
-    /// [`GenState::to_checkpoint`].
-    pub fn from_checkpoint(ck: &Checkpoint) -> Result<(SessionSpec, GenState), ServeError> {
+    /// Restore spec + cursor from a checkpoint written by
+    /// [`GenCursor::to_checkpoint`].
+    pub fn from_checkpoint(ck: &Checkpoint) -> Result<(SessionSpec, GenCursor), ServeError> {
         if ck.name != CKPT_NAME {
             return Err(ServeError::BadRequest(format!(
                 "checkpoint is for run `{}`, not a serve session",
@@ -198,32 +255,37 @@ impl GenState {
             chunks: spec_words[2],
             deadline_ms: spec_words[3].checked_sub(1),
         };
-        Ok((spec, GenState::read_from(ck)?))
+        let cursor = GenCursor::read_from(ck)?;
+        // Replay runs `delivered` chunks: bound it by the session's length.
+        if cursor.delivered > spec.chunks {
+            return Err(ServeError::BadRequest(format!(
+                "checkpoint: cursor {} is past the session's {} chunks",
+                cursor.delivered, spec.chunks
+            )));
+        }
+        Ok((spec, cursor))
     }
 
-    /// Write the generation state (the cursor plus the `rng`,
-    /// `normal_spare`, `history`, `phi`, `v` and `tier` sections) into a
-    /// checkpoint. Every chunked run that generates through
-    /// [`generate_chunk`] — serve sessions and `repro resilience` — carries
-    /// its state in these sections, next to its own.
+    /// Write the cursor, the `tier` and the `tier_starts` sections. Every
+    /// chunked run that generates through [`generate_chunk`] — serve
+    /// sessions and `repro resilience` — carries its generation state in
+    /// these, next to its own sections.
     pub fn write_into(&self, ck: &mut Checkpoint) {
         ck.cursor = self.delivered;
-        ck.set_words("rng", &self.rng);
-        if let Some(spare) = self.spare {
-            ck.set_scalar("normal_spare", spare);
-        }
-        ck.set_vector("history", &self.history);
-        ck.set_vector("phi", &self.phi);
-        ck.set_scalar("v", self.v);
         ck.set_words("tier", &[self.tier.index()]);
+        ck.set_words("tier_starts", &self.tier_starts);
     }
 
-    /// Restore the generation state written by [`GenState::write_into`].
-    pub fn read_from(ck: &Checkpoint) -> Result<GenState, ServeError> {
-        let rng_words = ck.require_words("rng")?;
-        if rng_words.len() != 4 {
-            return Err(ServeError::BadRequest(
-                "checkpoint: rng state must be 4 words".into(),
+    /// Restore the cursor written by [`GenCursor::write_into`]. A
+    /// checkpoint in the older full-state layout (`history`/`phi`
+    /// sections, no tier starts) is refused with
+    /// [`ServeError::IncompatibleCheckpoint`].
+    pub fn read_from(ck: &Checkpoint) -> Result<GenCursor, ServeError> {
+        if ck.vector("history").is_some() || ck.vector("phi").is_some() {
+            return Err(ServeError::IncompatibleCheckpoint(
+                "full-state layout (history/phi sections); this version resumes \
+                 by replay from seed, cursor and tier starts"
+                    .into(),
             ));
         }
         let tier = ck
@@ -232,17 +294,96 @@ impl GenState {
             .copied()
             .and_then(GeneratorTier::from_index)
             .ok_or_else(|| ServeError::BadRequest("checkpoint: bad generator tier".into()))?;
-        let mut rng = [0u64; 4];
-        rng.copy_from_slice(rng_words);
-        Ok(GenState {
-            rng,
-            spare: ck.scalar("normal_spare"),
-            history: ck.require_vector("history")?.to_vec(),
-            phi: ck.require_vector("phi")?.to_vec(),
-            v: ck.require_scalar("v")?,
-            tier,
+        let tier_starts: [u64; 3] = ck.require_words("tier_starts")?.try_into().map_err(|_| {
+            ServeError::BadRequest("checkpoint: tier_starts must be 3 words".into())
+        })?;
+        Ok(GenCursor {
             delivered: ck.cursor,
+            tier,
+            tier_starts,
         })
+    }
+
+    /// The tier chunk `k` was generated on: the cheapest tier whose first
+    /// chunk is at or before `k` (the ladder only steps down).
+    fn tier_of(&self, k: u64) -> Option<GeneratorTier> {
+        (0..3u64)
+            .rev()
+            .find(|&i| self.tier_starts[i as usize] <= k)
+            .and_then(GeneratorTier::from_index)
+    }
+
+    /// Rebuild the full generation state at this cursor: regenerate chunks
+    /// `0..delivered` from [`GenState::fresh`]`(seed)`, each on its
+    /// recorded tier. Bit-identical to the state the stream had, because
+    /// every chunk is a pure function of the state before it and its tier;
+    /// it costs one generation of the stream so far. A cursor the replay
+    /// does not reproduce is refused.
+    pub fn replay(
+        &self,
+        seed: u64,
+        table: &TabulatedAcf,
+        transform: &GaussianTransform<Lognormal>,
+        chunk_len: usize,
+    ) -> Result<GenState, ServeError> {
+        let mut state = GenState::fresh(seed);
+        let mut scratch = ChunkScratch::new();
+        for k in 0..self.delivered {
+            let tier = self.tier_of(k).ok_or_else(|| {
+                ServeError::IncompatibleCheckpoint(format!("no tier recorded for chunk {k}"))
+            })?;
+            generate_chunk_into(&state, tier, table, transform, chunk_len, &mut scratch)?;
+            std::mem::swap(&mut state, &mut scratch.state);
+        }
+        if state.cursor() != *self {
+            return Err(ServeError::IncompatibleCheckpoint(format!(
+                "replay ended at {:?}, checkpoint says {self:?}",
+                state.cursor()
+            )));
+        }
+        Ok(state)
+    }
+}
+
+/// The model a stream is generated under besides its seed: the fGn Hurst
+/// parameter and the horizon (lags) of the prepared ACF table. A replay is
+/// bit-identical only under the same pair, so a checkpoint records it and
+/// a resume refuses any other.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ModelKey {
+    /// Hurst parameter of the fGn background.
+    pub hurst: f64,
+    /// Lags in the prepared ACF table.
+    pub horizon: u64,
+}
+
+impl ModelKey {
+    /// The key of `table`, prepared from fGn(`hurst`).
+    pub fn new(hurst: f64, table: &TabulatedAcf) -> Self {
+        Self {
+            hurst,
+            horizon: table.len() as u64,
+        }
+    }
+
+    /// Write the `hurst` and `horizon` sections.
+    pub fn write_into(&self, ck: &mut Checkpoint) {
+        ck.set_scalar("hurst", self.hurst);
+        ck.set_words("horizon", &[self.horizon]);
+    }
+
+    /// Refuse a checkpoint written under another model with
+    /// [`ServeError::IncompatibleCheckpoint`].
+    pub fn check(&self, ck: &Checkpoint) -> Result<(), ServeError> {
+        let hurst = ck.require_scalar("hurst")?;
+        let horizon = ck.require_words("horizon")?;
+        if hurst.to_bits() != self.hurst.to_bits() || horizon != [self.horizon] {
+            return Err(ServeError::IncompatibleCheckpoint(format!(
+                "written under hurst {hurst} and horizon {horizon:?}, resumed under hurst {} and horizon {}",
+                self.hurst, self.horizon
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -377,6 +518,10 @@ pub fn generate_chunk_into(
     validate_arrivals(&scratch.ys).map_err(|e| gen_err(&e))?;
 
     let st = &mut scratch.state;
+    let start = &mut st.tier_starts[tier.index() as usize];
+    if *start == NOT_REACHED {
+        *start = st.delivered;
+    }
     st.delivered += 1;
     st.tier = tier;
     st.rng = rng.state();
@@ -403,8 +548,8 @@ pub fn encode_chunk(idx: u64, tier: GeneratorTier, ys: &[f64]) -> String {
 /// Messages from a session worker to whoever drains its bounded channel.
 #[derive(Debug)]
 pub enum WorkerMsg {
-    /// One generated chunk plus the post-chunk committed state (the
-    /// receiver checkpoints `post` only *after* delivering `body`).
+    /// One generated chunk plus the post-chunk cursor (the receiver
+    /// checkpoints `post` only *after* delivering `body`).
     Chunk {
         /// Chunk index (0-based).
         idx: u64,
@@ -412,8 +557,8 @@ pub enum WorkerMsg {
         tier: GeneratorTier,
         /// Encoded wire body ([`encode_chunk`]).
         body: String,
-        /// Committed state after this chunk.
-        post: GenState,
+        /// Committed cursor after this chunk.
+        post: GenCursor,
     },
     /// Every chunk generated; the stream is complete.
     Done,
@@ -509,12 +654,14 @@ pub fn run_session(
                 svbr_obsv::counter_with("serve.chunks", &[("outcome", outcome_label)]).add(1);
                 let idx = committed.delivered;
                 let body = encode_chunk(idx, tier, &scratch.ys);
-                committed.clone_from(&scratch.state);
+                // The scratch state becomes the committed one; the next
+                // attempt overwrites the old committed buffers in place.
+                std::mem::swap(&mut committed, &mut scratch.state);
                 let msg = WorkerMsg::Chunk {
                     idx,
                     tier,
                     body,
-                    post: committed.clone(),
+                    post: committed.cursor(),
                 };
                 if tx.send(msg).is_err() {
                     return;
@@ -668,12 +815,16 @@ mod tests {
             Ok(p) => p,
             Err(e) => panic!("{e}"),
         };
-        let (spec1, mut rs) = match GenState::from_checkpoint(&parsed) {
+        let (spec1, cursor) = match GenCursor::from_checkpoint(&parsed) {
             Ok(r) => r,
             Err(e) => panic!("{e}"),
         };
         assert_eq!(spec1, spec0, "spec survives the checkpoint");
-        assert_eq!(rs, st, "state survives the checkpoint bit-exactly");
+        let mut rs = match cursor.replay(spec1.seed, &table, &tf, spec1.chunk_len) {
+            Ok(rs) => rs,
+            Err(e) => panic!("{e}"),
+        };
+        assert_eq!(rs, st, "replay rebuilds the state bit-exactly");
         for idx in 2..spec0.chunks {
             let (post, ys) = match generate_chunk(&rs, rs.tier, &table, &tf, spec1.chunk_len) {
                 Ok(r) => r,
@@ -692,9 +843,220 @@ mod tests {
     fn foreign_checkpoint_is_rejected() {
         let ck = Checkpoint::new("resilience", 1);
         assert!(matches!(
-            GenState::from_checkpoint(&ck),
+            GenCursor::from_checkpoint(&ck),
             Err(ServeError::BadRequest(_))
         ));
+        // A cursor past the session's end would replay without bound.
+        let mut past_end = GenState::fresh(1).to_checkpoint(&spec(1, 16, 4));
+        past_end.cursor = 5;
+        assert!(matches!(
+            GenCursor::from_checkpoint(&past_end),
+            Err(ServeError::BadRequest(_))
+        ));
+    }
+
+    /// Tiers that a ladder walks when the chunk deadline is already
+    /// exhausted before chunks `k1` and `k2`: the supervisor preempts the
+    /// current tier and the ladder steps down, as in `run_session`.
+    fn deadline_path(chunks: u64, k1: u64, k2: u64) -> Vec<GeneratorTier> {
+        let mut ladder = Ladder::new();
+        (0..chunks)
+            .map(|k| {
+                if k == k1 || k == k2 {
+                    let mut sup = Supervisor::new(RetryPolicy {
+                        max_retries: CHUNK_RETRIES,
+                        deadline: Some(Deadline::new(Duration::ZERO)),
+                    });
+                    let Err(e) = sup.run("chunk", |_| Ok::<(), ServeError>(())) else {
+                        panic!("an exhausted deadline must preempt the chunk");
+                    };
+                    if let Err(e) = ladder.degrade_or_exhaust(&e.to_string()) {
+                        panic!("{e}");
+                    }
+                }
+                ladder.tier()
+            })
+            .collect()
+    }
+
+    /// The worker's chunks under a pressure probe that reports overload
+    /// from chunk `flip` on, starting from `start` (chunk `start.delivered`).
+    fn worker_stream(
+        spec: &SessionSpec,
+        start: GenState,
+        flip: u64,
+        table: &TabulatedAcf,
+        tf: &GaussianTransform<Lognormal>,
+    ) -> Vec<(GeneratorTier, String, GenCursor)> {
+        let next = std::cell::Cell::new(start.delivered);
+        let pressure = || {
+            let k = next.get();
+            next.set(k + 1);
+            k >= flip
+        };
+        let (tx, rx) = mpsc::sync_channel(spec.chunks as usize + 1);
+        run_session(spec, start, table, tf, pressure, &tx);
+        drop(tx);
+        rx.iter()
+            .filter_map(|m| match m {
+                WorkerMsg::Chunk {
+                    tier, body, post, ..
+                } => Some((tier, body, post)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Checkpoint the stream that `tiers` describes after every chunk index
+    /// k, resume from the parsed text and generate the rest: every resumed
+    /// state and chunk must equal the uninterrupted run's.
+    fn assert_resumes_at_every_chunk(
+        spec: &SessionSpec,
+        tiers: &[GeneratorTier],
+        table: &TabulatedAcf,
+        tf: &GaussianTransform<Lognormal>,
+    ) -> Vec<String> {
+        let model = ModelKey::new(0.8, table);
+        let mut states = vec![GenState::fresh(spec.seed)];
+        let mut bodies = Vec::new();
+        for (k, &tier) in tiers.iter().enumerate() {
+            let (post, ys) = match generate_chunk(&states[k], tier, table, tf, spec.chunk_len) {
+                Ok(r) => r,
+                Err(e) => panic!("{e}"),
+            };
+            bodies.push(encode_chunk(k as u64, tier, &ys));
+            states.push(post);
+        }
+        for (k, at_k) in states.iter().enumerate() {
+            let mut ck = at_k.to_checkpoint(spec);
+            model.write_into(&mut ck);
+            let parsed = match Checkpoint::parse(&ck.to_text()) {
+                Ok(p) => p,
+                Err(e) => panic!("{e}"),
+            };
+            if let Err(e) = model.check(&parsed) {
+                panic!("{e}");
+            }
+            let (spec1, cursor) = match GenCursor::from_checkpoint(&parsed) {
+                Ok(r) => r,
+                Err(e) => panic!("{e}"),
+            };
+            let mut st = match cursor.replay(spec1.seed, table, tf, spec1.chunk_len) {
+                Ok(st) => st,
+                Err(e) => panic!("{e}"),
+            };
+            assert_eq!(&st, at_k, "replay to chunk {k} rebuilds the state");
+            for (j, &tier) in tiers.iter().enumerate().skip(k) {
+                let (post, ys) = match generate_chunk(&st, tier, table, tf, spec1.chunk_len) {
+                    Ok(r) => r,
+                    Err(e) => panic!("{e}"),
+                };
+                assert_eq!(
+                    encode_chunk(j as u64, tier, &ys),
+                    bodies[j],
+                    "resumed at {k}: chunk {j} must match the uninterrupted run"
+                );
+                st = post;
+            }
+        }
+        bodies
+    }
+
+    #[test]
+    fn resume_at_every_chunk_is_byte_identical_on_the_exact_tier() {
+        let (table, tf) = assets(96);
+        let s = spec(21, 16, 6);
+        let tiers = vec![GeneratorTier::HoskingExact; 6];
+        let bodies = assert_resumes_at_every_chunk(&s, &tiers, &table, &tf);
+        let worker: Vec<String> = worker_stream(&s, GenState::fresh(s.seed), u64::MAX, &table, &tf)
+            .into_iter()
+            .map(|(_, body, _)| body)
+            .collect();
+        assert_eq!(worker, bodies, "the worker streams the same chunks");
+    }
+
+    #[test]
+    fn resume_at_every_chunk_is_byte_identical_after_pressure_degrades() {
+        let (table, tf) = assets(96);
+        let s = spec(22, 16, 6);
+        for flip in 0..=s.chunks {
+            let worker = worker_stream(&s, GenState::fresh(s.seed), flip, &table, &tf);
+            let tiers: Vec<GeneratorTier> = worker.iter().map(|(t, ..)| *t).collect();
+            let expect: Vec<GeneratorTier> = (0..s.chunks)
+                .map(|k| {
+                    if k < flip {
+                        GeneratorTier::HoskingExact
+                    } else {
+                        GeneratorTier::TruncatedAr
+                    }
+                })
+                .collect();
+            assert_eq!(tiers, expect, "pressure flips the tier at chunk {flip}");
+            let bodies = assert_resumes_at_every_chunk(&s, &tiers, &table, &tf);
+            for (k, (_, body, post)) in worker.iter().enumerate() {
+                assert_eq!(body, &bodies[k], "flip {flip}: worker chunk {k}");
+                // A worker resumed from the cursor it reported after chunk
+                // k streams the rest of the session unchanged.
+                let Ok(start) = post.replay(s.seed, &table, &tf, s.chunk_len) else {
+                    panic!("flip {flip}: replay to chunk {}", k + 1);
+                };
+                let rest: Vec<String> = worker_stream(&s, start, flip, &table, &tf)
+                    .into_iter()
+                    .map(|(_, body, _)| body)
+                    .collect();
+                assert_eq!(rest, bodies[k + 1..], "flip {flip}: resumed after {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn resume_at_every_chunk_is_byte_identical_down_to_davies_harte() {
+        let (table, tf) = assets(128);
+        let s = spec(23, 16, 7);
+        let tiers = deadline_path(s.chunks, 2, 4);
+        assert_eq!(
+            tiers.iter().map(|t| t.index()).collect::<Vec<_>>(),
+            [0, 0, 1, 1, 2, 2, 2],
+            "two exhausted deadlines walk the whole ladder"
+        );
+        assert_resumes_at_every_chunk(&s, &tiers, &table, &tf);
+    }
+
+    #[test]
+    fn full_state_checkpoint_is_refused() {
+        // The layout serve wrote before checkpoints became seed + cursor.
+        let mut ck = Checkpoint::new(CKPT_NAME, 5);
+        ck.cursor = 2;
+        ck.set_words("spec", &[1, 16, 4, 0]);
+        ck.set_words("rng", &[1, 2, 3, 4]);
+        ck.set_vector("history", &[0.5; 32]);
+        ck.set_vector("phi", &[0.1; 31]);
+        ck.set_scalar("v", 0.9);
+        ck.set_words("tier", &[0]);
+        let Ok(parsed) = Checkpoint::parse(&ck.to_text()) else {
+            panic!("the old layout is a well-formed checkpoint");
+        };
+        match GenCursor::from_checkpoint(&parsed) {
+            Err(ServeError::IncompatibleCheckpoint(msg)) => {
+                assert!(msg.contains("layout"), "{msg}");
+            }
+            other => panic!("expected IncompatibleCheckpoint, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoint_from_another_model_is_refused() {
+        let (table, _) = assets(64);
+        let (longer, _) = assets(128);
+        let mut ck = GenState::fresh(3).to_checkpoint(&spec(3, 16, 4));
+        ModelKey::new(0.8, &table).write_into(&mut ck);
+        assert!(ModelKey::new(0.8, &table).check(&ck).is_ok());
+        for other in [ModelKey::new(0.7, &table), ModelKey::new(0.8, &longer)] {
+            assert!(
+                matches!(other.check(&ck), Err(ServeError::IncompatibleCheckpoint(_))),
+                "{other:?} must refuse a checkpoint written under hurst 0.8, horizon 65"
+            );
+        }
     }
 
     #[test]
