@@ -27,8 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use svbr::lrd::acf::Acf;
 use svbr::lrd::davies_harte::DaviesHarte;
-use svbr::lrd::farima::Farima0d0;
 use svbr::lrd::tes::{Tes, TesVariant};
+use svbr::lrd::FarimaAcf;
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::Marginal;
 use svbr::model::UnifiedFit;
@@ -83,8 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n=== ablation 2: composite-ACF background vs FARIMA(0,d,0) ===");
     let d = (fit.hurst.combined - 0.5).clamp(0.05, 0.45);
-    let farima = Farima0d0::new(d)?;
-    let r_farima = foreground_acf(&farima.acf())?;
+    let r_farima = foreground_acf(&FarimaAcf::new(d)?)?;
     println!(
         "foreground-ACF RMSE vs empirical: composite {:.4}, FARIMA(0,{d:.2},0) {:.4}",
         rmse(&r_comp),

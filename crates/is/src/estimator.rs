@@ -437,7 +437,7 @@ impl<M: Marginal> IsEstimator<M> {
     /// Publish per-run diagnostics to the obsv layer: likelihood-ratio
     /// mean/variance (in log space), Kish effective sample size, and the
     /// twist used — the quantities that tell whether the change of measure
-    /// is healthy (cf. `crate::diagnostics`).
+    /// is healthy.
     fn observe_run(&self, twist: f64, acc: &Accumulator, est: &IsEstimate, mode: &str) {
         svbr_obsv::counter_with("is.batch.replications", &[("mode", mode)]).add(acc.n as u64);
         if svbr_obsv::enabled() {

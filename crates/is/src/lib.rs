@@ -38,12 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diagnostics;
 pub mod estimator;
 pub mod search;
 pub mod transient;
 
-pub use diagnostics::{weight_diagnostics, WeightDiagnostics};
 pub use estimator::{IsEstimate, IsEstimator, IsEvent, IsReplication};
 pub use search::{suggest_twist, valley_search, TwistPoint};
 pub use transient::{is_transient_curve, TransientConfig, TransientEstimate};

@@ -691,6 +691,14 @@ mod tests {
     }
 
     #[test]
+    fn farima_from_hurst_roundtrip() -> Result<(), Box<dyn std::error::Error>> {
+        let acf = FarimaAcf::from_hurst(0.9)?;
+        assert_close(acf.d(), 0.4, 1e-12);
+        assert!(FarimaAcf::from_hurst(1.2).is_err());
+        Ok(())
+    }
+
+    #[test]
     fn exponential_is_ar1_like() -> Result<(), Box<dyn std::error::Error>> {
         let acf = ExponentialAcf::new(0.1)?;
         assert_close(acf.r(0), 1.0, 0.0);

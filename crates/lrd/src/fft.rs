@@ -1,9 +1,9 @@
 //! A self-contained planned complex FFT, and a real-input FFT on top of it.
 //!
 //! Used by the Davies–Harte circulant-embedding generator, the
-//! FFT-accelerated autocorrelation estimator, the periodogram, the FARIMA
-//! convolution and the circulant PD projection. Only power-of-two lengths
-//! are supported; callers zero-pad. Every transform runs on an [`FftPlan`]:
+//! FFT-accelerated autocorrelation estimator, the periodogram and the
+//! circulant PD projection. Only power-of-two lengths are supported;
+//! callers zero-pad. Every transform runs on an [`FftPlan`]:
 //! an iterative radix-4 Cooley–Tukey (one radix-2 stage when log₂ of the
 //! length is odd) over a bit-reversal permutation, allocation-free in the
 //! transform itself, with twiddles computed directly from `sin_cos` rather

@@ -29,14 +29,8 @@
 //! * [`kernels`] — lane-batched (4-accumulator) dot-product kernels shared
 //!   by every Durbin–Levinson consumer, with documented per-kernel
 //!   bit-identity decisions.
-//! * [`farima`] — FARIMA(0,d,0) and FARIMA(p,d,q) generators.
-//! * [`fbm`] — fractional Brownian motion (the cumulative view) and the
-//!   aggregation identities behind the variance-time method.
-//! * [`arma`] — AR/MA/ARMA short-range-dependent baselines.
-//! * [`markov`] — traditional Markovian traffic baselines (MMPP, IBP)
-//!   against which the paper contrasts self-similar models.
-//! * [`mg_inf`] — M/G/∞ busy-server source: the classical physical LRD
-//!   mechanism (heavy-tailed sessions), O(n) to generate.
+//! * [`arma`] — the AR(1) short-range-dependent baseline, whose ACF is the
+//!   paper's SRD exponential.
 //! * [`tes`] — TES⁺/TES⁻ processes (Melamed et al.), the exact-marginal SRD
 //!   baseline the paper's approach generalizes.
 //! * [`gauss`] — standard-normal sampling (polar Box–Muller) so that the
@@ -52,14 +46,10 @@ pub mod acf;
 pub mod arma;
 pub mod cache;
 pub mod davies_harte;
-pub mod farima;
-pub mod fbm;
 pub mod fft;
 pub mod gauss;
 pub mod hosking;
 pub mod kernels;
-pub mod markov;
-pub mod mg_inf;
 pub mod tes;
 
 pub use acf::{

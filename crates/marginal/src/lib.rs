@@ -9,9 +9,8 @@
 //!   hand-rolled; no external numerics dependencies.
 //! * [`normal`] — standard normal CDF `Φ` and quantile `Φ⁻¹` (Acklam's
 //!   rational approximation polished by a Halley step).
-//! * [`gamma`], [`pareto`], [`gamma_pareto`], [`lognormal`] — parametric
-//!   marginals. The Gamma/Pareto splice is the model Garrett & Willinger
-//!   fitted to VBR video and the paper builds on.
+//! * [`gamma`], [`pareto`], [`lognormal`] — parametric marginals, used as
+//!   transform targets and heavy-tailed test inputs.
 //! * [`empirical`] — the paper's own choice: "inverting the empirical
 //!   distribution directly", both from raw samples and from histograms.
 //! * [`transform`] — the transform `h` itself, plus the *attenuation
@@ -24,7 +23,6 @@
 
 pub mod empirical;
 pub mod gamma;
-pub mod gamma_pareto;
 pub mod lognormal;
 pub mod normal;
 pub mod pareto;
@@ -33,7 +31,6 @@ pub mod transform;
 
 pub use empirical::{BinnedEmpirical, EmpiricalCdf};
 pub use gamma::Gamma;
-pub use gamma_pareto::GammaPareto;
 pub use lognormal::Lognormal;
 pub use normal::{norm_cdf, norm_quantile, Normal};
 pub use pareto::Pareto;

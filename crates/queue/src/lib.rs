@@ -27,13 +27,10 @@
 //! * [`norros`] — Norros's analytic Weibullian overflow approximation for
 //!   self-similar input (the paper's reference [23]), used as the
 //!   theoretical companion of the simulated Figs. 16–17 curves.
-//! * [`batch_means`] — classical batch-means CIs, implemented to *demonstrate*
-//!   the paper's warning that they undercover under LRD traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch_means;
 pub mod lindley;
 pub mod mc;
 pub mod mux;
@@ -41,7 +38,6 @@ pub mod norros;
 pub mod superposition;
 pub mod transient;
 
-pub use batch_means::{batch_means, BatchMeansEstimate};
 pub use lindley::{
     first_passage_lanes, first_passage_lanes_into, first_passage_slot, queue_exceeds, queue_path,
     sup_workload, validate_arrivals, LindleyLanes, LindleyQueue, QueueStats,

@@ -19,8 +19,6 @@
 //! * [`reference`] — the pinned-seed, full-length (238,626-frame) reference
 //!   trace standing in for Table 1's movie, plus shorter variants for
 //!   tests.
-//! * [`slices`] — slice-level traces (Table 1: 15 slices/frame), exactly
-//!   re-aggregating to the frame trace.
 //!
 //! Every statistical property the paper's pipeline consumes — `H ≈ 0.9`,
 //! an ACF knee near lag 60, GOP periodicity, long-tailed marginal — is
@@ -29,15 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod encoder;
 pub mod gop;
 pub mod reference;
 pub mod scene;
-pub mod slices;
 pub mod trace;
 
-pub use analysis::{detect_scenes, SceneDetectOptions, SceneSegmentation};
 pub use encoder::{CodecConfig, VirtualCodec};
 pub use gop::{FrameType, GopPattern};
 pub use reference::{
@@ -45,7 +40,6 @@ pub use reference::{
     ReferenceParams,
 };
 pub use scene::{SceneConfig, SceneProcess};
-pub use slices::SliceTrace;
 pub use trace::FrameTrace;
 
 /// Errors produced by this crate.

@@ -145,8 +145,28 @@ impl SceneProcess {
             }
             k += len;
         }
-        svbr_lrd::farima::standardize(&mut activity);
+        standardize(&mut activity);
         (activity, boundaries)
+    }
+}
+
+/// In-place standardization to zero mean, unit variance.
+fn standardize(xs: &mut [f64]) {
+    if xs.is_empty() {
+        return;
+    }
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    let sd = var.sqrt();
+    if sd > 0.0 {
+        for x in xs.iter_mut() {
+            *x = (*x - mean) / sd;
+        }
+    } else {
+        for x in xs.iter_mut() {
+            *x = 0.0;
+        }
     }
 }
 
@@ -260,5 +280,15 @@ mod tests {
         let mut r2 = StdRng::seed_from_u64(9);
         assert_eq!(p.generate(1000, &mut r1).0, p.generate(1000, &mut r2).0);
         Ok(())
+    }
+
+    #[test]
+    fn standardize_handles_degenerate() {
+        let mut xs = vec![3.0, 3.0, 3.0];
+        standardize(&mut xs);
+        assert_eq!(xs, vec![0.0, 0.0, 0.0]);
+        let mut empty: Vec<f64> = vec![];
+        standardize(&mut empty);
+        assert!(empty.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use svbr::lrd::acf::FgnAcf;
-use svbr::lrd::markov::Mmpp2;
+use svbr::lrd::arma::Ar1;
 use svbr::lrd::DaviesHarte;
 use svbr::stats::{
     gph_estimate, rs_hurst, sample_acf_fft, variance_time_hurst, RsOptions, VtOptions,
@@ -53,17 +53,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Exact fractional Gaussian noise at H = 0.9 — pure LRD.
     let fgn = DaviesHarte::new(FgnAcf::new(0.9)?, n)?.generate(&mut rng);
 
-    // 3. A traditional 2-state MMPP — SRD: every Hurst estimator should
-    //    read ≈ 0.5 once the aggregation scale passes its (short)
-    //    correlation length.
-    let mmpp = Mmpp2::new(1.0, 12.0, 0.02, 0.05)?.generate(n, &mut rng);
+    // 3. A traditional SRD source, AR(1) with the paper's exponential ACF:
+    //    every Hurst estimator should read ≈ 0.5 once the aggregation scale
+    //    passes its (short) correlation length.
+    let ar1 = Ar1::new(0.9)?.generate(n, &mut rng);
 
     println!("source                 Hurst estimates                      autocorrelation");
     analyze("VBR video (svbr)", &video)?;
     analyze("fGn H=0.9", &fgn)?;
-    analyze("MMPP (traditional)", &mmpp)?;
+    analyze("AR(1) (traditional)", &ar1)?;
     println!(
-        "\nExpected: video and fGn read H ≈ 0.85-0.95 on all estimators; MMPP reads ≈ 0.5-0.6."
+        "\nExpected: video and fGn read H ≈ 0.8-0.95 on all estimators; AR(1) reads ≈ 0.5-0.6."
     );
     Ok(())
 }

@@ -6,12 +6,12 @@
 //! workspace. This umbrella crate re-exports every subsystem:
 //!
 //! * [`lrd`] — LRD/SRD Gaussian processes: ACF models (fGn, FARIMA,
-//!   composite knee), Hosking's exact generator, Davies–Harte, FFT, ARMA
-//!   and Markovian baselines.
+//!   composite knee), Hosking's exact generator, Davies–Harte, FFT, and the
+//!   AR(1) and TES baselines.
 //! * [`stats`] — estimators: sample ACF, variance–time, R/S, periodogram/
 //!   GPH, composite-ACF fitting, histograms, quantiles, K-S.
-//! * [`marginal`] — distributions (Normal, Gamma, Pareto, Gamma/Pareto,
-//!   Lognormal, empirical/histogram inversion) and the inverse-CDF
+//! * [`marginal`] — distributions (Normal, Gamma, Pareto, Lognormal,
+//!   empirical/histogram inversion) and the inverse-CDF
 //!   transform with its attenuation factor.
 //! * [`video`] — the synthetic MPEG-1 VBR source substrate (scene-based
 //!   LRD model, GOP structure, frame traces, Table-1 reference trace).

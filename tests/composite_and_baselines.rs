@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use svbr::lrd::markov::{Ibp, Mmpp2};
+use svbr::lrd::arma::Ar1;
 use svbr::model::{CompositeVideoFit, CompositeVideoOptions};
 use svbr::stats::{sample_acf_fft, variance_time_hurst, VtOptions};
 use svbr::video::{reference_trace_of_len, FrameType};
@@ -80,13 +80,12 @@ fn composite_trace_type_counts_match_pattern() {
 #[test]
 fn traditional_models_are_srd_video_is_not() {
     // The paper's core quantitative claim about *why* new models are
-    // needed: Markovian sources read H ≈ ½ at scale, video does not.
+    // needed: a traditional SRD source (AR(1), the paper's exponential
+    // ACF) reads H ≈ ½ at scale, video does not. Seeds 1–10 read AR(1)
+    // H_vt 0.453–0.548; this test runs seed 3.
     let mut rng = StdRng::seed_from_u64(3);
     let n = 200_000;
-    let mmpp = Mmpp2::new(2.0, 20.0, 0.05, 0.1)
-        .unwrap()
-        .generate(n, &mut rng);
-    let ibp = Ibp::new(0.9, 0.95, 0.9).unwrap().generate(n, &mut rng);
+    let ar1 = Ar1::new(0.9).unwrap().generate(n, &mut rng);
     let video = reference_trace_of_len(n).as_f64();
     let opts = VtOptions {
         min_m: 100,
@@ -94,11 +93,9 @@ fn traditional_models_are_srd_video_is_not() {
         points: 12,
         min_blocks: 10,
     };
-    let h_mmpp = variance_time_hurst(&mmpp, &opts).unwrap().hurst;
-    let h_ibp = variance_time_hurst(&ibp, &opts).unwrap().hurst;
+    let h_ar1 = variance_time_hurst(&ar1, &opts).unwrap().hurst;
     let h_video = variance_time_hurst(&video, &opts).unwrap().hurst;
-    assert!(h_mmpp < 0.65, "MMPP H = {h_mmpp}");
-    assert!(h_ibp < 0.65, "IBP H = {h_ibp}");
+    assert!(h_ar1 < 0.65, "AR(1) H = {h_ar1}");
     assert!(h_video > 0.75, "video H = {h_video}");
 }
 
