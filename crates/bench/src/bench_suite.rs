@@ -21,11 +21,11 @@ use svbr::lrd::acf::FgnAcf;
 use svbr::lrd::cache::{hosking_coefficients, CachedHosking};
 use svbr::lrd::davies_harte::DaviesHarte;
 use svbr::lrd::fft::Complex;
-use svbr::lrd::hosking::{HoskingSampler, TruncatedHosking};
+use svbr::lrd::hosking::HoskingSampler;
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::Lognormal;
 use svbr::marginal::{BinnedEmpirical, Gamma, Marginal};
-use svbr::queue::lindley::{LindleyLanes, LindleyQueue, LANES};
+use svbr::queue::lindley::{first_passage_lanes_into, LindleyQueue, LANES};
 use svbr_obsv::Stopwatch;
 use svbr_resilience::degrade::{prepare_table, GeneratorTier};
 use svbr_serve::{drain_session, generate_chunk_into, ChunkScratch, GenState, SessionSpec};
@@ -207,6 +207,9 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
             iters: scale(50, 20),
             threads: 1,
         },
+        // Serve's truncated-AR tier: AR(SERVE_CHUNK_LEN − 1) chunks after
+        // one exact-tier chunk, as a session degraded after its first chunk
+        // streams them.
         CaseSpec {
             name: "truncated_ar",
             n: scale(32_768, 4096),
@@ -219,10 +222,10 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
             iters: scale(20, 5),
             threads: 1,
         },
-        // The same total sample count pushed through the struct-of-arrays
-        // lane batch (LANES independent replications per slot): the scalar
-        // recursion above is one serial add/max dependency chain, the
-        // lanes pipeline.
+        // The same total sample count through the lane-batched first-passage
+        // kernel the Monte-Carlo fan-out runs (LANES independent paths per
+        // slot): the scalar recursion above is one serial add/max
+        // dependency chain, the lanes are LANES independent ones.
         CaseSpec {
             name: "lindley_lanes",
             n: scale(262_144, 32_768),
@@ -371,13 +374,38 @@ pub fn run_suite(
                 })
             }
             "truncated_ar" => {
-                let acf = FgnAcf::new(HURST)?;
-                let trunc = TruncatedHosking::new(acf, 64)?;
+                // The exact chunk (untimed) leaves φ of order
+                // SERVE_CHUNK_LEN − 1; every timed chunk is the AR arm of
+                // `generate_chunk_into`, transform and validation included.
+                let (table, _shrink) = prepare_table(FgnAcf::new(HURST)?, SERVE_CHUNK_LEN + 1)?;
+                let transform = GaussianTransform::new(Lognormal::from_moments(1.0, 0.25)?);
+                let mut scratch = ChunkScratch::new();
+                generate_chunk_into(
+                    &GenState::fresh(seed),
+                    GeneratorTier::HoskingExact,
+                    &table,
+                    &transform,
+                    SERVE_CHUNK_LEN,
+                    &mut scratch,
+                )?;
+                let degraded = scratch.state.clone();
+                let mut st = GenState::default();
                 measure(spec, || {
-                    let xs = trunc
-                        .generate(acf, spec.n, &mut rng)
+                    st.clone_from(&degraded);
+                    let mut total = 0usize;
+                    while total < spec.n {
+                        generate_chunk_into(
+                            &st,
+                            GeneratorTier::TruncatedAr,
+                            &table,
+                            &transform,
+                            SERVE_CHUNK_LEN,
+                            &mut scratch,
+                        )
                         .unwrap_or_else(|e| die(spec.name, &e));
-                    assert_eq!(xs.len(), spec.n);
+                        total += scratch.ys.len();
+                        st.clone_from(&scratch.state);
+                    }
                 })
             }
             "fft_planned" => {
@@ -409,19 +437,19 @@ pub fn run_suite(
             }
             "lindley_lanes" => {
                 // Same total sample count as `lindley`, split into LANES
-                // independent paths fed through the struct-of-arrays
-                // recursion: each lane is bit-identical to the scalar
-                // queue, but the serial add/max dependency chains run
-                // side by side instead of back to back.
+                // independent paths fed through `first_passage_lanes_into`:
+                // each lane is bit-identical to the scalar first-passage
+                // recursion, and the serial dependency chains run side by
+                // side instead of back to back. No path reaches an infinite
+                // buffer, so every lane runs its whole path.
                 let dh = DaviesHarte::new(FgnAcf::new(HURST)?, spec.n)?;
                 let arrivals: Vec<f64> = dh.generate(&mut rng).iter().map(|x| x + 3.0).collect();
                 let slot = spec.n / LANES;
                 let paths: Vec<&[f64]> = arrivals.chunks_exact(slot).take(LANES).collect();
+                let mut crossings = [None; LANES];
                 measure(spec, || {
-                    let mut q =
-                        LindleyLanes::new(3.2, LANES).unwrap_or_else(|e| die(spec.name, &e));
-                    let levels = q.run_paths(&paths);
-                    assert!(levels.iter().all(|l| l.is_finite()));
+                    first_passage_lanes_into(&paths, 3.2, f64::INFINITY, &mut crossings);
+                    assert!(crossings.iter().all(Option::is_none));
                 })
             }
             "is_estimator" => {

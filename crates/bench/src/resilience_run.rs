@@ -1,7 +1,7 @@
 //! `resilience` — the supervised, checkpointable reference run.
 //!
 //! A chunked generation → transform → queue pipeline driven entirely from
-//! explicit state: xoshiro words, the polar sampler's spare variate, the
+//! explicit state: the random generator, the polar normal sampler, the
 //! Hosking φ/v recursion, the Lindley backlog, partial moment sums and the
 //! per-chunk result rows. Each chunk executes under a
 //! [`Supervisor`] (`catch_unwind` + retry budget + optional wall-clock

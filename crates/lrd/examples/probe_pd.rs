@@ -3,19 +3,19 @@
 use rand::{rngs::StdRng, SeedableRng};
 use svbr_lrd::acf::CompositeAcf;
 use svbr_lrd::davies_harte::pd_project;
-use svbr_lrd::hosking::{HoskingSampler, NonPdPolicy};
+use svbr_lrd::hosking::HoskingSampler;
+use svbr_lrd::LrdError;
 
 fn main() {
     let acf = CompositeAcf::paper_fit();
-    let mut raw = HoskingSampler::with_policy(&acf, NonPdPolicy::Freeze).unwrap();
+    let mut raw = HoskingSampler::new(&acf).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
-    for _ in 0..200 {
-        raw.step(&mut rng).unwrap();
-    }
-    println!(
-        "raw composite ACF: recursion froze at lag {:?}",
-        raw.frozen_at()
-    );
+    let failed_at = (0..200).find_map(|_| match raw.step(&mut rng) {
+        Ok(_) => None,
+        Err(LrdError::NotPositiveDefinite { lag }) => Some(lag),
+        Err(e) => panic!("{e}"),
+    });
+    println!("raw composite ACF: recursion not positive definite at lag {failed_at:?}");
 
     let projected = pd_project(&acf, 2048).unwrap();
     let mut fixed = HoskingSampler::new(&projected).unwrap();

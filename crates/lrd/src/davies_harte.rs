@@ -213,11 +213,6 @@ impl DaviesHarte {
         }
         self.rfft.c2r(spec, out, self.n);
     }
-
-    /// Generate `paths` independent sample paths.
-    pub fn generate_many<R: Rng + ?Sized>(&self, paths: usize, rng: &mut R) -> Vec<Vec<f64>> {
-        (0..paths).map(|_| self.generate(rng)).collect()
-    }
 }
 
 /// Project an ACF onto the positive-definite cone over its first `n` lags.
@@ -449,17 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_many_counts() -> Result<(), Box<dyn std::error::Error>> {
-        let acf = FgnAcf::new(0.6)?;
-        let dh = DaviesHarte::new(acf, 64)?;
-        let mut rng = StdRng::seed_from_u64(6);
-        let paths = dh.generate_many(5, &mut rng);
-        assert_eq!(paths.len(), 5);
-        assert!(paths.iter().all(|p| p.len() == 64));
-        Ok(())
-    }
-
-    #[test]
     fn pd_projection_repairs_composite_acf() -> Result<(), Box<dyn std::error::Error>> {
         let acf = CompositeAcf::paper_fit();
         let projected = pd_project(&acf, 1024)?;
@@ -524,7 +508,7 @@ mod tests {
         }
         let mut ho_r1 = 0.0;
         for _ in 0..paths {
-            let xs = crate::hosking::generate(acf, n, &mut rng)?;
+            let xs = crate::hosking::HoskingSampler::new(acf)?.generate(n, &mut rng)?;
             ho_r1 += sample_acov(&xs, 1) / paths as f64;
         }
         assert!(

@@ -10,7 +10,7 @@ use rand::Rng;
 ///
 /// The polar method produces two variates per acceptance; the spare one is
 /// cached, so on average ~1.27 uniform pairs are consumed per normal variate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Normal {
     spare: Option<f64>,
 }

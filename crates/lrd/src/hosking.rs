@@ -19,9 +19,10 @@
 //! needs, so the `svbr-is` crate drives this type directly.
 //!
 //! Cost is O(k) per step (O(n²) per trace) and O(n) memory. For long traces
-//! use [`TruncatedHosking`] (an AR(M) approximation that freezes the
-//! regression coefficients after lag M) or the O(n log n) exact
-//! [`crate::davies_harte::DaviesHarte`] generator.
+//! use the O(n log n) exact [`crate::davies_harte::DaviesHarte`] generator.
+//! A table that is not positive definite is an error here
+//! ([`LrdError::NotPositiveDefinite`]); repair it up front with
+//! [`crate::davies_harte::pd_project`] or [`regularize_to_pd`].
 
 use crate::acf::{Acf, TabulatedAcf};
 use crate::gauss::Normal;
@@ -29,26 +30,6 @@ use crate::kernels;
 use crate::LrdError;
 use rand::Rng;
 use svbr_domain::{Correlation, SvbrError};
-
-/// What to do when the ACF turns out not to be positive definite
-/// (|partial correlation| ≥ 1 at some lag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NonPdPolicy {
-    /// Return [`LrdError::NotPositiveDefinite`].
-    #[default]
-    Error,
-    /// Freeze the regression at the last valid order: if the recursion
-    /// first violates positive definiteness at lag `k₀`, all subsequent
-    /// samples are drawn from the AR(k₀−1) model defined by the last valid
-    /// coefficients. The output is exact for the first `k₀` samples and a
-    /// well-behaved short-memory approximation beyond.
-    ///
-    /// For ACFs that are *nearly* PD (like the paper's piecewise composite
-    /// fit before projection), prefer repairing the ACF itself with
-    /// [`crate::davies_harte::pd_project`] — freezing is the pragmatic
-    /// fallback, projection is the accurate fix.
-    Freeze,
-}
 
 /// Conditional moments of the next sample given the history so far.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +77,6 @@ pub struct HoskingStep {
 #[derive(Debug, Clone)]
 pub struct HoskingSampler<A> {
     acf: A,
-    policy: NonPdPolicy,
     /// Cached `r(0..)` values, extended lazily.
     r: Vec<f64>,
     /// `φ_{k,j}` for the most recently completed step, `phi[j-1] = φ_{k,j}`.
@@ -110,8 +90,6 @@ pub struct HoskingSampler<A> {
     v: f64,
     /// Moments already computed for the next step but not yet consumed.
     pending: Option<CondMoments>,
-    /// Lag at which the recursion froze (see [`NonPdPolicy::Freeze`]).
-    frozen_at: Option<usize>,
     normal: Normal,
 }
 
@@ -123,11 +101,6 @@ impl<A: Acf> HoskingSampler<A> {
     /// in `[-1, 1]`. Deeper positive-definiteness violations surface from
     /// the recursion itself as [`LrdError::NotPositiveDefinite`].
     pub fn new(acf: A) -> Result<Self, SvbrError> {
-        Self::with_policy(acf, NonPdPolicy::Error)
-    }
-
-    /// Create a sampler with an explicit non-PD policy.
-    pub fn with_policy(acf: A, policy: NonPdPolicy) -> Result<Self, SvbrError> {
         let r0 = acf.r(0);
         if !r0.is_finite() {
             return Err(SvbrError::NotFinite { name: "r(0)" });
@@ -141,14 +114,12 @@ impl<A: Acf> HoskingSampler<A> {
         Correlation::new_clamped(acf.r(1), 1e-9)?;
         Ok(Self {
             acf,
-            policy,
             r: vec![1.0],
             phi: Vec::new(),
             phi_prev: Vec::new(),
             history: Vec::new(),
             v: 1.0,
             pending: None,
-            frozen_at: None,
             normal: Normal::new(),
         })
     }
@@ -159,26 +130,15 @@ impl<A: Acf> HoskingSampler<A> {
     /// `history`, `phi` and `v` must come from a sampler over the *same*
     /// ACF, captured at a step boundary (after a [`Self::push`], i.e. with
     /// no pending moments). The Durbin–Levinson invariants are validated:
+    /// `phi.len() == history.len().saturating_sub(1)`, `v` is a variance
+    /// in `(0, 1]`, and every stored value is finite.
     ///
-    /// * unfrozen state: `phi.len() == history.len().saturating_sub(1)`
-    /// * frozen at `k₀`: `phi.len() == k₀ − 1`, `history.len() >= k₀`, and
-    ///   the policy must be [`NonPdPolicy::Freeze`]
-    /// * `v` must be a variance in `(0, 1]`, and every stored value finite.
-    ///
-    /// The internal Gaussian cache starts empty; callers that need a
-    /// bit-identical *random* stream across a resume should drive the
-    /// sampler through [`Self::next_moments`]/[`Self::push`] and checkpoint
-    /// their own normal-sampler state (this is what `svbr-resilience`
-    /// does).
-    pub fn resume(
-        acf: A,
-        policy: NonPdPolicy,
-        history: Vec<f64>,
-        phi: Vec<f64>,
-        v: f64,
-        frozen_at: Option<usize>,
-    ) -> Result<Self, SvbrError> {
-        let mut s = Self::with_policy(acf, policy)?;
+    /// The internal Gaussian cache starts empty; a caller that needs a
+    /// bit-identical *random* stream across a resume drives the sampler
+    /// through [`Self::next_moments`]/[`Self::push`] with its own generator
+    /// and normal sampler (serve's chunk generator does).
+    pub fn resume(acf: A, history: Vec<f64>, phi: Vec<f64>, v: f64) -> Result<Self, SvbrError> {
+        let mut s = Self::new(acf)?;
         if !v.is_finite() || v <= 0.0 || v > 1.0 + 1e-12 {
             return Err(SvbrError::OutOfRange {
                 name: "v",
@@ -191,41 +151,16 @@ impl<A: Acf> HoskingSampler<A> {
         if phi.iter().any(|x| !x.is_finite()) {
             return Err(SvbrError::NotFinite { name: "phi" });
         }
-        match frozen_at {
-            None => {
-                if phi.len() != history.len().saturating_sub(1) {
-                    return Err(SvbrError::OutOfRange {
-                        name: "phi",
-                        constraint: "phi.len() == history.len() - 1 when not frozen",
-                    });
-                }
-            }
-            Some(k0) => {
-                if policy != NonPdPolicy::Freeze {
-                    return Err(SvbrError::OutOfRange {
-                        name: "frozen_at",
-                        constraint: "frozen state requires NonPdPolicy::Freeze",
-                    });
-                }
-                if k0 == 0 || phi.len() + 1 != k0 || history.len() < k0 {
-                    return Err(SvbrError::OutOfRange {
-                        name: "frozen_at",
-                        constraint: "phi.len() == frozen_at - 1 and history.len() >= frozen_at",
-                    });
-                }
-            }
+        if phi.len() != history.len().saturating_sub(1) {
+            return Err(SvbrError::OutOfRange {
+                name: "phi",
+                constraint: "phi.len() == history.len() - 1",
+            });
         }
         s.history = history;
         s.phi = phi;
         s.v = v;
-        s.frozen_at = frozen_at;
         Ok(s)
-    }
-
-    /// The lag at which the recursion froze under [`NonPdPolicy::Freeze`],
-    /// if it did.
-    pub fn frozen_at(&self) -> Option<usize> {
-        self.frozen_at
     }
 
     /// The current regression coefficients `φ_{k,1..k}` (`phi()[j-1]` is
@@ -281,50 +216,35 @@ impl<A: Acf> HoskingSampler<A> {
                 phi_sum: 0.0,
             }
         } else {
-            if self.frozen_at.is_none() {
-                // Numerator: r(k) − Σ_{j=1}^{k−1} φ_{k−1,j}·r(k−j), as a
-                // lane-batched reversed dot over the ACF cache. `r_at(k)`
-                // extends the cache through index k first, so the slice
-                // `r[1..k]` (length k−1 == phi.len()) is fully populated.
-                let rk = self.r_at(k);
-                let num = rk - kernels::dot_rev(&self.phi, &self.r[1..k]);
-                let kappa = num / self.v;
-                if kappa.abs() >= 1.0 {
-                    match self.policy {
-                        NonPdPolicy::Error => {
-                            return Err(LrdError::NotPositiveDefinite { lag: k });
-                        }
-                        NonPdPolicy::Freeze => {
-                            self.frozen_at = Some(k);
-                        }
-                    }
-                } else {
-                    // φ_{k,j} = φ_{k−1,j} − κ·φ_{k−1,k−j} — elementwise, so
-                    // the kernel is bit-identical to the textbook loop.
-                    self.phi_prev.clear();
-                    self.phi_prev.extend_from_slice(&self.phi);
-                    kernels::reflect_update(&mut self.phi, &self.phi_prev, kappa);
-                    self.phi.push(kappa);
-                    let prev_v = self.v;
-                    self.v *= 1.0 - kappa * kappa;
-                    // Kernel invariants: |φ_kk| < 1 here (the ≥ 1 case took
-                    // the policy branch above), so the innovation variance
-                    // is non-negative and non-increasing.
-                    debug_assert!(
-                        kappa.abs() < 1.0,
-                        "partial correlation escaped policy check"
-                    );
-                    debug_assert!(
-                        self.v >= 0.0 && self.v <= prev_v,
-                        "innovation variance must be non-increasing and >= 0: {prev_v} -> {}",
-                        self.v
-                    );
-                }
+            // Numerator: r(k) − Σ_{j=1}^{k−1} φ_{k−1,j}·r(k−j), as a
+            // lane-batched reversed dot over the ACF cache. `r_at(k)`
+            // extends the cache through index k first, so the slice
+            // `r[1..k]` (length k−1 == phi.len()) is fully populated.
+            let rk = self.r_at(k);
+            let num = rk - kernels::dot_rev(&self.phi, &self.r[1..k]);
+            let kappa = num / self.v;
+            if kappa.abs() >= 1.0 {
+                return Err(LrdError::NotPositiveDefinite { lag: k });
             }
-            // Frozen or not, the moments come from the current coefficient
-            // vector regressing on the most recent phi.len() values —
-            // the same lane-batched kernel every other consumer uses, so
-            // prepared/streaming/resumed paths agree bit-for-bit.
+            // φ_{k,j} = φ_{k−1,j} − κ·φ_{k−1,k−j} — elementwise, so the
+            // kernel is bit-identical to the textbook loop.
+            self.phi_prev.clear();
+            self.phi_prev.extend_from_slice(&self.phi);
+            kernels::reflect_update(&mut self.phi, &self.phi_prev, kappa);
+            self.phi.push(kappa);
+            let prev_v = self.v;
+            self.v *= 1.0 - kappa * kappa;
+            // Kernel invariant: |φ_kk| < 1 here, so the innovation variance
+            // is non-negative and non-increasing.
+            debug_assert!(
+                self.v >= 0.0 && self.v <= prev_v,
+                "innovation variance must be non-increasing and >= 0: {prev_v} -> {}",
+                self.v
+            );
+            // The moments regress the current coefficient vector on the
+            // most recent phi.len() values — the same lane-batched kernel
+            // every other consumer uses, so prepared/streaming/resumed
+            // paths agree bit-for-bit.
             debug_assert!(self.phi.len() <= self.history.len());
             CondMoments {
                 mean: kernels::dot_rev(&self.phi, &self.history),
@@ -538,16 +458,6 @@ impl RunningHurst {
     }
 }
 
-/// Convenience: generate `n` samples of a zero-mean unit-variance Gaussian
-/// process with the given ACF using Hosking's exact method.
-pub fn generate<A: Acf, R: Rng + ?Sized>(
-    acf: A,
-    n: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, LrdError> {
-    HoskingSampler::new(acf)?.generate(n, rng)
-}
-
 /// Repair a non-positive-definite ACF by geometric damping.
 ///
 /// Tabulates `r(k)·ρᵏ` over the first `n` lags with `ρ = 1 − shrink`,
@@ -678,103 +588,6 @@ impl PreparedHosking {
     }
 }
 
-/// Memory-truncated Hosking generator: runs the exact Durbin–Levinson
-/// recursion up to lag `M`, then freezes the AR(M) coefficients
-/// `φ_{M,1..M}` and prediction variance `v_M` and generates
-///
-/// `x_k ~ N(Σ_{j=1..M} φ_{M,j}·x_{k-j}, v_M)` for `k > M`.
-///
-/// This is exact for the first `M+1` samples and an AR(M) approximation
-/// afterwards; with `M` well past the ACF knee it preserves the SRD
-/// structure exactly and the LRD structure out to lag ≈ M, at O(M) per step
-/// instead of O(k).
-#[derive(Debug, Clone)]
-pub struct TruncatedHosking {
-    /// Frozen AR coefficients (only populated once `k > M`).
-    coeffs: Vec<f64>,
-    frozen_var: f64,
-    frozen_phi_sum: f64,
-    memory: usize,
-}
-
-impl TruncatedHosking {
-    /// Precompute the AR(`memory`) model for the given ACF.
-    pub fn new<A: Acf>(acf: A, memory: usize) -> Result<Self, LrdError> {
-        Self::with_policy(acf, memory, NonPdPolicy::Error)
-    }
-
-    /// Like [`Self::new`] with an explicit non-positive-definite policy.
-    pub fn with_policy<A: Acf>(
-        acf: A,
-        memory: usize,
-        policy: NonPdPolicy,
-    ) -> Result<Self, LrdError> {
-        if memory == 0 {
-            return Err(LrdError::InvalidParameter {
-                name: "memory",
-                constraint: "memory >= 1",
-            });
-        }
-        let mut s = HoskingSampler::with_policy(&acf, policy)?;
-        // Drive the recursion M steps with dummy values; only φ and v matter.
-        for _ in 0..=memory {
-            let _ = s.next_moments()?;
-            s.push(0.0);
-        }
-        let frozen_phi_sum = kernels::sum(&s.phi);
-        Ok(Self {
-            coeffs: s.phi,
-            frozen_var: s.v,
-            frozen_phi_sum,
-            memory,
-        })
-    }
-
-    /// The AR order M.
-    pub fn memory(&self) -> usize {
-        self.memory
-    }
-
-    /// The frozen innovation variance `v_M`.
-    pub fn innovation_variance(&self) -> f64 {
-        self.frozen_var
-    }
-
-    /// The frozen coefficient sum `Σ φ_{M,j}`.
-    pub fn phi_sum(&self) -> f64 {
-        self.frozen_phi_sum
-    }
-
-    /// Generate `n` samples. The warm-up (first `memory` samples) is drawn
-    /// with the exact recursion, so short traces coincide with
-    /// [`HoskingSampler`] in distribution.
-    pub fn generate<A: Acf, R: Rng + ?Sized>(
-        &self,
-        acf: A,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, LrdError> {
-        let mut normal = Normal::new();
-        let warm = n.min(self.memory + 1);
-        let mut exact = HoskingSampler::with_policy(&acf, NonPdPolicy::Freeze)?;
-        let mut xs = Vec::with_capacity(n);
-        for _ in 0..warm {
-            xs.push(exact.step(rng)?.value);
-        }
-        // Under `NonPdPolicy::Freeze` the recursion may freeze before lag
-        // M, leaving fewer than `memory` coefficients — regress on however
-        // many are actually frozen.
-        let m = self.coeffs.len().min(self.memory);
-        let coeffs = &self.coeffs[..m];
-        for _ in warm..n {
-            // xs.len() >= warm > m, so the reversed window is in bounds.
-            let mean = kernels::dot_rev(coeffs, &xs);
-            xs.push(normal.sample_with(rng, mean, self.frozen_var));
-        }
-        Ok(xs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,7 +668,7 @@ mod tests {
         let h = 0.8;
         let acf = FgnAcf::new(h)?;
         let mut rng = StdRng::seed_from_u64(4);
-        let xs = generate(acf, 20_000, &mut rng)?;
+        let xs = HoskingSampler::new(acf)?.generate(20_000, &mut rng)?;
         let est = sample_acf(&xs, 10);
         for (k, e) in est.iter().enumerate().take(11).skip(1) {
             assert!(
@@ -909,7 +722,7 @@ mod tests {
     fn marginal_is_standard_normal() -> Result<(), Box<dyn std::error::Error>> {
         let acf = FgnAcf::new(0.9)?;
         let mut rng = StdRng::seed_from_u64(6);
-        let xs = generate(acf, 20_000, &mut rng)?;
+        let xs = HoskingSampler::new(acf)?.generate(20_000, &mut rng)?;
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         let var: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
@@ -951,8 +764,8 @@ mod tests {
         let acf = FgnAcf::new(0.9)?;
         let mut r1 = StdRng::seed_from_u64(77);
         let mut r2 = StdRng::seed_from_u64(77);
-        let a = generate(acf, 500, &mut r1)?;
-        let b = generate(acf, 500, &mut r2)?;
+        let a = HoskingSampler::new(acf)?.generate(500, &mut r1)?;
+        let b = HoskingSampler::new(acf)?.generate(500, &mut r2)?;
         assert_eq!(a, b);
         Ok(())
     }
@@ -971,65 +784,11 @@ mod tests {
                 break;
             }
         }
-        let (_, e) = failed.expect("should fail");
-        assert!(matches!(e, LrdError::NotPositiveDefinite { .. }));
-        Ok(())
-    }
-
-    #[test]
-    fn freeze_policy_survives_non_pd() -> Result<(), Box<dyn std::error::Error>> {
-        let t = crate::acf::TabulatedAcf::new(vec![1.0, 0.99])?;
-        let mut s = HoskingSampler::with_policy(t, NonPdPolicy::Freeze)?;
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..500 {
-            let st = s.step(&mut rng)?;
-            assert!(st.cond_var > 0.0);
-            assert!(st.value.is_finite());
-        }
-        // r(2)=0 needs r(2) >= 2·0.99²−1 for PD, so the freeze must trigger
-        // at lag 2 and the sampler continues as an AR(1) with φ = 0.99.
-        assert_eq!(s.frozen_at(), Some(2));
-        let m = s.next_moments()?;
-        assert!((m.phi_sum - 0.99).abs() < 1e-12);
-        assert!((m.var - (1.0 - 0.99 * 0.99)).abs() < 1e-12);
-        Ok(())
-    }
-
-    #[test]
-    fn truncated_matches_exact_within_memory() -> Result<(), Box<dyn std::error::Error>> {
-        // For an AR(1)-like exponential ACF, truncation at any M >= 1 is
-        // exact: the frozen coefficients are (φ, 0, 0, …).
-        let acf = ExponentialAcf::new(0.2)?;
-        let t = TruncatedHosking::new(acf, 10)?;
-        let phi = (-0.2f64).exp();
-        assert!((t.phi_sum() - phi).abs() < 1e-9);
-        assert!((t.innovation_variance() - (1.0 - phi * phi)).abs() < 1e-9);
-        Ok(())
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)]
-    fn truncated_generates_plausible_lrd() -> Result<(), Box<dyn std::error::Error>> {
-        let acf = FgnAcf::new(0.85)?;
-        let t = TruncatedHosking::new(acf, 200)?;
-        let mut rng = StdRng::seed_from_u64(10);
-        let xs = t.generate(acf, 20_000, &mut rng)?;
-        let est = sample_acf(&xs, 50);
-        for k in [1usize, 10, 50] {
-            assert!(
-                (est[k] - acf.r(k)).abs() < 0.08,
-                "lag {k}: est {} vs target {}",
-                est[k],
-                acf.r(k)
-            );
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn truncated_rejects_zero_memory() -> Result<(), Box<dyn std::error::Error>> {
-        let acf = FgnAcf::new(0.8)?;
-        assert!(TruncatedHosking::new(acf, 0).is_err());
+        // r(2) = 0 violates r(2) >= 2·0.99² − 1, so the third step fails
+        // and names lag 2.
+        let (k, e) = failed.expect("should fail");
+        assert_eq!(k, 2);
+        assert!(matches!(e, LrdError::NotPositiveDefinite { lag: 2 }));
         Ok(())
     }
 
@@ -1081,57 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn non_pd_policy_default_is_error() {
-        assert_eq!(NonPdPolicy::default(), NonPdPolicy::Error);
-    }
-
-    #[test]
-    fn truncated_error_policy_rejects_non_pd_table() -> Result<(), Box<dyn std::error::Error>> {
-        // Same deliberately non-PD table as the sampler tests: r(2) = 0
-        // violates r(2) >= 2·0.99² − 1.
-        let t = crate::acf::TabulatedAcf::new(vec![1.0, 0.99])?;
-        let err = TruncatedHosking::with_policy(&t, 8, NonPdPolicy::Error);
-        assert!(matches!(err, Err(LrdError::NotPositiveDefinite { lag: 2 })));
-        Ok(())
-    }
-
-    #[test]
-    fn truncated_freeze_policy_survives_non_pd_table() -> Result<(), Box<dyn std::error::Error>> {
-        let t = crate::acf::TabulatedAcf::new(vec![1.0, 0.99])?;
-        let trunc = TruncatedHosking::with_policy(&t, 8, NonPdPolicy::Freeze)?;
-        // Frozen at lag 2, so the model is the AR(1) with φ = 0.99.
-        assert!((trunc.phi_sum() - 0.99).abs() < 1e-12);
-        assert!((trunc.innovation_variance() - (1.0 - 0.99 * 0.99)).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(12);
-        let xs = trunc.generate(&t, 300, &mut rng)?;
-        assert_eq!(xs.len(), 300);
-        assert!(xs.iter().all(|x| x.is_finite()));
-        Ok(())
-    }
-
-    #[test]
-    fn freeze_policy_state_survives_resume() -> Result<(), Box<dyn std::error::Error>> {
-        let t = crate::acf::TabulatedAcf::new(vec![1.0, 0.99])?;
-        let mut s = HoskingSampler::with_policy(&t, NonPdPolicy::Freeze)?;
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..40 {
-            s.step(&mut rng)?;
-        }
-        assert_eq!(s.frozen_at(), Some(2));
-        let resumed = HoskingSampler::resume(
-            &t,
-            NonPdPolicy::Freeze,
-            s.history().to_vec(),
-            s.phi().to_vec(),
-            s.innovation_variance(),
-            s.frozen_at(),
-        )?;
-        assert_eq!(resumed.frozen_at(), Some(2));
-        assert_eq!(resumed.len(), 40);
-        Ok(())
-    }
-
-    #[test]
     fn resume_continues_bit_identically() -> Result<(), Box<dyn std::error::Error>> {
         // Drive the recursion with externally chosen values (as the IS and
         // resilience drivers do), snapshot mid-stream, resume, and check
@@ -1154,7 +862,7 @@ mod tests {
             }
         }
         let (history, phi, v) = snapshot.ok_or("no snapshot")?;
-        let mut resumed = HoskingSampler::resume(&acf, NonPdPolicy::Error, history, phi, v, None)?;
+        let mut resumed = HoskingSampler::resume(&acf, history, phi, v)?;
         let mut reference = HoskingSampler::new(&acf)?;
         for &x in &values[..100] {
             reference.next_moments()?;
@@ -1175,45 +883,14 @@ mod tests {
     fn resume_validates_state_invariants() -> Result<(), Box<dyn std::error::Error>> {
         let acf = FgnAcf::new(0.7)?;
         // phi length inconsistent with history.
-        assert!(HoskingSampler::resume(
-            &acf,
-            NonPdPolicy::Error,
-            vec![0.1; 5],
-            vec![0.2; 5],
-            0.9,
-            None
-        )
-        .is_err());
+        assert!(HoskingSampler::resume(&acf, vec![0.1; 5], vec![0.2; 5], 0.9).is_err());
+        assert!(HoskingSampler::resume(&acf, vec![0.1, 0.2, 0.3], vec![0.2], 0.9).is_err());
         // Non-finite history.
-        assert!(HoskingSampler::resume(
-            &acf,
-            NonPdPolicy::Error,
-            vec![f64::NAN, 0.0],
-            vec![0.2],
-            0.9,
-            None
-        )
-        .is_err());
+        assert!(HoskingSampler::resume(&acf, vec![f64::NAN, 0.0], vec![0.2], 0.9).is_err());
         // Invalid variance.
-        assert!(HoskingSampler::resume(
-            &acf,
-            NonPdPolicy::Error,
-            vec![0.1, 0.2],
-            vec![0.2],
-            -0.5,
-            None
-        )
-        .is_err());
-        // Frozen state requires the Freeze policy.
-        assert!(HoskingSampler::resume(
-            &acf,
-            NonPdPolicy::Error,
-            vec![0.1, 0.2, 0.3],
-            vec![0.2],
-            0.9,
-            Some(2)
-        )
-        .is_err());
+        assert!(HoskingSampler::resume(&acf, vec![0.1, 0.2], vec![0.2], -0.5).is_err());
+        // A consistent state resumes.
+        assert!(HoskingSampler::resume(&acf, vec![0.1, 0.2], vec![0.2], 0.9).is_ok());
         Ok(())
     }
 

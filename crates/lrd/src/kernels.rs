@@ -5,10 +5,10 @@
 //! those loops into [`LANES`] independent accumulators over
 //! `chunks_exact` blocks — the shape LLVM auto-vectorizes to packed SIMD
 //! without target-specific intrinsics — and are shared by every consumer
-//! ([`crate::hosking::HoskingSampler`], [`crate::hosking::PreparedHosking`],
-//! [`crate::hosking::TruncatedHosking`], and the truncated-AR arm of
-//! `svbr_serve::generate_chunk`, which serve sessions and `repro
-//! resilience` both generate through), so the cross-path bit-identity tests (prepared vs incremental,
+//! ([`crate::hosking::HoskingSampler`], [`crate::hosking::PreparedHosking`]
+//! and the truncated-AR arm of `svbr_serve::generate_chunk`, which serve
+//! sessions and `repro resilience` both generate through), so the
+//! cross-path bit-identity tests (prepared vs incremental,
 //! cached vs streaming, resumed vs continuous) keep holding by
 //! construction.
 //!

@@ -60,9 +60,7 @@ pub use cache::{
 };
 pub use davies_harte::{pd_project, DaviesHarte};
 pub use fft::{FftPlan, RealFft};
-pub use hosking::{
-    regularize_to_pd, HoskingSampler, HoskingStep, NonPdPolicy, PreparedHosking, TruncatedHosking,
-};
+pub use hosking::{regularize_to_pd, HoskingSampler, HoskingStep, PreparedHosking};
 pub use svbr_domain::{Attenuation, Correlation, Hurst, Probability, SvbrError};
 
 /// Errors produced by the generators in this crate.

@@ -69,152 +69,25 @@ impl LindleyQueue {
     }
 }
 
-/// Number of independent replications the struct-of-arrays Lindley kernel
-/// advances per slot group. Matches the accumulator-lane count of the
+/// Number of independent paths [`first_passage_lanes_into`] advances
+/// together per slot group. Matches the accumulator-lane count of the
 /// `svbr-lrd` Durbin–Levinson kernels: four f64 lanes fill one AVX2
 /// register.
 pub const LANES: usize = 4;
 
-/// `k` independent Lindley queues advanced in struct-of-arrays lanes.
-///
-/// The scalar [`LindleyQueue`] recursion `Q ← ⟨Q + y − μ⟩⁺` is a serial
-/// dependency chain — each slot's add/max must retire before the next
-/// starts, so a single queue is latency-bound no matter how wide the
-/// machine is. Replicated experiments run many *independent* queues,
-/// though, and advancing `k` of them per slot turns the chain into `k`
-/// independent chains that pipeline and vectorize.
-///
-/// **Bit-identity decision (DESIGN.md §5):** each lane performs exactly
-/// the scalar recursion in the scalar order — lanes never mix — so every
-/// lane's levels are bit-identical to a [`LindleyQueue`] fed the same
-/// arrivals. No tolerance entry needed.
-///
-/// ```
-/// use svbr_queue::lindley::LindleyLanes;
-///
-/// let mut lanes = LindleyLanes::new(2.0, 2).unwrap();
-/// // One slot for two replications: arrivals 5 and 1.
-/// assert_eq!(lanes.step(&[5.0, 1.0]), &[3.0, 0.0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LindleyLanes {
-    service: f64,
-    q: Vec<f64>,
-}
-
-impl LindleyLanes {
-    /// `k` empty queues with common service rate `μ > 0`.
-    pub fn new(service: f64, lanes: usize) -> Result<Self, QueueError> {
-        if lanes == 0 {
-            return Err(QueueError::InvalidParameter {
-                name: "lanes",
-                constraint: "lanes >= 1",
-            });
-        }
-        // Reuse the scalar validation for the service rate.
-        LindleyQueue::new(service)?;
-        Ok(Self {
-            service,
-            q: vec![0.0; lanes],
-        })
-    }
-
-    /// Number of lanes (independent replications).
-    pub fn lanes(&self) -> usize {
-        self.q.len()
-    }
-
-    /// The common service rate μ.
-    pub fn service(&self) -> f64 {
-        self.service
-    }
-
-    /// Current per-lane queue levels.
-    pub fn levels(&self) -> &[f64] {
-        &self.q
-    }
-
-    /// Apply one slot to every lane: `Q_l ← ⟨Q_l + y_l − μ⟩⁺`. The
-    /// elementwise loop carries no cross-lane dependency, so it
-    /// auto-vectorizes.
-    ///
-    /// # Panics
-    /// Panics if `arrivals.len()` differs from the lane count.
-    pub fn step(&mut self, arrivals: &[f64]) -> &[f64] {
-        assert_eq!(
-            arrivals.len(),
-            self.q.len(),
-            "one arrival per lane required"
-        );
-        let mu = self.service;
-        for (q, &y) in self.q.iter_mut().zip(arrivals.iter()) {
-            *q = (*q + y - mu).max(0.0);
-        }
-        &self.q
-    }
-
-    /// Run a slot-major interleaved arrival block: `arrivals[s·k + l]` is
-    /// slot `s` of lane `l`. Returns the final per-lane levels.
-    ///
-    /// # Panics
-    /// Panics if `arrivals.len()` is not a multiple of the lane count.
-    pub fn run_interleaved(&mut self, arrivals: &[f64]) -> &[f64] {
-        let k = self.q.len();
-        assert!(
-            arrivals.len().is_multiple_of(k),
-            "interleaved block must hold whole slots"
-        );
-        for slot in arrivals.chunks_exact(k) {
-            self.step(slot);
-        }
-        &self.q
-    }
-
-    /// Run `k` separate per-lane arrival paths (all the same length).
-    /// Slot-major over the lanes, so the memory walk is `k` parallel
-    /// streams. Returns the final per-lane levels.
-    ///
-    /// # Panics
-    /// Panics if `paths.len()` differs from the lane count or the paths
-    /// have unequal lengths.
-    pub fn run_paths(&mut self, paths: &[&[f64]]) -> &[f64] {
-        let k = self.q.len();
-        assert_eq!(paths.len(), k, "one path per lane required");
-        let n = paths.first().map_or(0, |p| p.len());
-        assert!(
-            paths.iter().all(|p| p.len() == n),
-            "lane paths must have equal length"
-        );
-        let mu = self.service;
-        for s in 0..n {
-            for (q, p) in self.q.iter_mut().zip(paths.iter()) {
-                *q = (*q + p[s] - mu).max(0.0);
-            }
-        }
-        &self.q
-    }
-}
-
 /// Lane-batched form of [`first_passage_slot`]: the first crossing slot of
-/// each path in `paths`, advanced slot-major so the per-lane workload
-/// accumulators are independent dependency chains.
+/// each path in `paths` lands in `out`, advanced slot-major so the per-lane
+/// workload accumulators are independent dependency chains.
 ///
-/// Each lane runs exactly the scalar recursion in the scalar order, so
+/// The scalar recursion is a serial chain — each slot's add must retire
+/// before the next starts — so one path is latency-bound; the lanes are
+/// [`LANES`] independent chains that can overlap. Each lane runs exactly the
+/// scalar recursion in the scalar order, so
 /// `out[l] == first_passage_slot(paths[l], service, b)` bit-for-bit; this
 /// is what lets `svbr-par` replication fan-outs feed one batched kernel
-/// without perturbing any seeded estimate. Early-exits once every lane has
-/// crossed.
-pub fn first_passage_lanes(paths: &[&[f64]], service: f64, b: f64) -> Vec<Option<usize>> {
-    let mut out = vec![None; paths.len()];
-    first_passage_lanes_into(paths, service, b, &mut out);
-    out
-}
-
-/// Allocation-free form of [`first_passage_lanes`]: results land in `out`
-/// (`out[l] == first_passage_slot(paths[l], service, b)`). Lanes are
-/// processed in groups of [`LANES`] with stack-resident workload
-/// accumulators, so replication fan-outs can reuse one output buffer across
-/// groups.
+/// without perturbing any seeded estimate. Lanes are processed in groups of
+/// [`LANES`] with stack-resident accumulators, so fan-outs can reuse one
+/// output buffer across groups. A group stops once every lane has crossed.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from `paths.len()`.
@@ -245,6 +118,8 @@ pub fn first_passage_lanes_into(paths: &[&[f64]], service: f64, b: f64, out: &mu
         }
     }
 }
+
+/// Running statistics of a queue-level path: maximum depth, busy-period
 /// count and lengths. Feed it every level produced by
 /// [`LindleyQueue::step`]; O(1) state, no allocation.
 ///
@@ -308,12 +183,6 @@ impl QueueStats {
 pub fn queue_path(arrivals: &[f64], service: f64, q0: f64) -> Result<Vec<f64>, QueueError> {
     let mut q = LindleyQueue::with_initial(service, q0)?;
     Ok(arrivals.iter().map(|&y| q.step(y)).collect())
-}
-
-/// Whether `Q_k > b` after exactly `arrivals.len()` slots, starting at `q0`.
-pub fn queue_exceeds(arrivals: &[f64], service: f64, q0: f64, b: f64) -> Result<bool, QueueError> {
-    let mut q = LindleyQueue::with_initial(service, q0)?;
-    Ok(q.run(arrivals) > b)
 }
 
 /// Reject any NaN or infinite arrival before it reaches the Lindley
@@ -438,16 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn exceeds_final_level_only() -> Result<(), Box<dyn std::error::Error>> {
-        // Queue spikes above b mid-path then drains: queue_exceeds is about
-        // the *final* level.
-        let arr = [10.0, 0.0, 0.0, 0.0];
-        assert!(!queue_exceeds(&arr, 2.0, 0.0, 3.0)?);
-        assert!(queue_exceeds(&arr[..1], 2.0, 0.0, 3.0)?);
-        Ok(())
-    }
-
-    #[test]
     fn validation() {
         assert!(LindleyQueue::new(0.0).is_err());
         assert!(LindleyQueue::new(f64::NAN).is_err());
@@ -468,63 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn lanes_are_bit_identical_to_scalar_queues() -> Result<(), Box<dyn std::error::Error>> {
-        let mu = 2.7;
-        let n = 500;
-        let paths: Vec<Vec<f64>> = (0..LANES as u64 + 1).map(|s| pseudo_path(s, n)).collect();
-        let refs: Vec<&[f64]> = paths.iter().map(Vec::as_slice).collect();
-        let mut lanes = LindleyLanes::new(mu, refs.len())?;
-        assert_eq!(lanes.lanes(), refs.len());
-        assert_eq!(lanes.service(), mu);
-        let finals = lanes.run_paths(&refs).to_vec();
-        for (l, path) in paths.iter().enumerate() {
-            let mut scalar = LindleyQueue::new(mu)?;
-            let want = scalar.run(path);
-            assert_eq!(finals[l].to_bits(), want.to_bits(), "lane {l}");
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn interleaved_run_matches_per_slot_steps() -> Result<(), Box<dyn std::error::Error>> {
-        let mu = 1.5;
-        // Two lanes, three slots, slot-major: (5,1), (0,4), (2,0).
-        let block = [5.0, 1.0, 0.0, 4.0, 2.0, 0.0];
-        let mut a = LindleyLanes::new(mu, 2)?;
-        a.run_interleaved(&block);
-        let mut b = LindleyLanes::new(mu, 2)?;
-        b.step(&[5.0, 1.0]);
-        b.step(&[0.0, 4.0]);
-        b.step(&[2.0, 0.0]);
-        assert_eq!(a.levels(), b.levels());
-        Ok(())
-    }
-
-    #[test]
-    fn lanes_validation() -> Result<(), Box<dyn std::error::Error>> {
-        assert!(LindleyLanes::new(0.0, 4).is_err());
-        assert!(LindleyLanes::new(f64::NAN, 4).is_err());
-        assert!(LindleyLanes::new(1.0, 0).is_err());
-        let mut ok = LindleyLanes::new(1.0, 2)?;
-        assert_eq!(ok.levels(), &[0.0, 0.0]);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "asserts that a lane/arrival length mismatch panics"
-        )]
-        let caught = std::panic::catch_unwind(move || {
-            ok.step(&[1.0]);
-        });
-        assert!(caught.is_err(), "lane/arrival mismatch must panic");
-        Ok(())
-    }
-
-    #[test]
     fn first_passage_lanes_matches_scalar() {
         let mu = 1.1;
         let b = 40.0;
-        let paths: Vec<Vec<f64>> = (10..18u64).map(|s| pseudo_path(s, 300)).collect();
+        // Two full lane groups and a partial third.
+        let paths: Vec<Vec<f64>> = (10..20u64).map(|s| pseudo_path(s, 300)).collect();
         let refs: Vec<&[f64]> = paths.iter().map(Vec::as_slice).collect();
-        let batched = first_passage_lanes(&refs, mu, b);
+        let mut batched = vec![Some(usize::MAX); refs.len()];
+        first_passage_lanes_into(&refs, mu, b, &mut batched);
         for (l, path) in paths.iter().enumerate() {
             assert_eq!(
                 batched[l],
@@ -535,12 +345,15 @@ mod tests {
         // Unequal lengths: each lane still resolves against its own path.
         let short = pseudo_path(99, 20);
         let long = pseudo_path(100, 200);
-        let mixed = first_passage_lanes(&[&short, &long], mu, 5.0);
+        let mut mixed = [None; 2];
+        first_passage_lanes_into(&[&short, &long], mu, 5.0, &mut mixed);
         assert_eq!(mixed[0], first_passage_slot(&short, mu, 5.0));
         assert_eq!(mixed[1], first_passage_slot(&long, mu, 5.0));
-        // Degenerate inputs.
-        assert!(first_passage_lanes(&[], mu, b).is_empty());
-        assert_eq!(first_passage_lanes(&[&[]], mu, b), vec![None]);
+        // Degenerate inputs; a stale output slot is overwritten.
+        first_passage_lanes_into(&[], mu, b, &mut []);
+        let mut stale = [Some(7)];
+        first_passage_lanes_into(&[&[]], mu, b, &mut stale);
+        assert_eq!(stale, [None]);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The graceful-degradation ladder for the generator hot path.
 //!
 //! Tier 0 is Hosking's exact O(n²) recursion; tier 1 freezes the
-//! regression at order M (`TruncatedHosking`-style AR(M), O(M) per step);
+//! regression at the order the exact tier reached (an AR(M) continuation,
+//! O(M) per step);
 //! tier 2 is Davies–Harte circulant embedding per block (O(n log n), exact
 //! marginal/ACF within a block but independent across blocks). Paxson's
 //! fast-approximate-fGn argument applies: when the exact generator cannot
 //! meet the budget, an approximate generator with a *recorded* accuracy
 //! caveat beats both a dead run and a silent approximation.
 //!
-//! The ladder itself is a tiny state machine; the supervised runner in
-//! `svbr-bench` owns the actual generation and consults the ladder when
-//! deadline pressure or a `NonPdPolicy` violation demands a cheaper tier.
+//! The ladder itself is a tiny state machine; the chunk generator
+//! (`svbr_serve::generate_chunk`, which serve sessions and `repro
+//! resilience` share) runs each tier, and its callers consult the ladder
+//! when deadline pressure, a failed chunk or overload demands a cheaper
+//! tier.
 //! Every transition is stamped into the obsv metrics (`resilience.tier`)
 //! and the event log, and the runner records the achieved ACF error of
 //! the tier it finished on.
@@ -396,10 +399,10 @@ mod tests {
     #[test]
     fn acf_error_is_small_for_matching_process() {
         // White noise against the H = 0.5 (uncorrelated) target.
-        use crate::rng::{CkptNormal, CkptRng};
+        use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let mut rng = CkptRng::seed_from_u64(5);
-        let mut normal = CkptNormal::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut normal = svbr_lrd::gauss::Normal::new();
         let xs: Vec<f64> = (0..20_000).map(|_| normal.sample(&mut rng)).collect();
         let acf = match FgnAcf::new(0.5) {
             Ok(a) => a,

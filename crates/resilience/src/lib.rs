@@ -5,10 +5,10 @@
 //! hours of Hosking O(n²) work. This crate makes long runs survivable:
 //!
 //! * [`checkpoint`] — an atomic, text-based [`checkpoint::Checkpoint`]
-//!   format carrying RNG state, Hosking φ/v recursion state, Lindley queue
-//!   backlog and partial estimator moments, bit-exactly (f64s are stored
-//!   as raw IEEE-754 bits), so `repro --resume <ckpt>` continues a killed
-//!   run to byte-identical final output.
+//!   format of named word, scalar and vector sections stored bit-exactly
+//!   (f64s as raw IEEE-754 bits). A chunked run checkpoints its seed and
+//!   generation cursor and replays the rest, so `repro --resume <ckpt>`
+//!   continues a killed run to byte-identical final output.
 //! * [`supervisor`] — [`supervisor::Supervisor`] wraps each unit of work
 //!   in `catch_unwind` with a retry budget and an optional wall-clock
 //!   deadline, reporting every failure through the `svbr-obsv` sinks and
@@ -23,10 +23,6 @@
 //!   ([`fault::FaultPlan`]): panics, NaN samples, non-PD ACFs, ESS
 //!   collapse and deadline exhaustion are injected at exact (site,
 //!   occurrence) points so every recovery path is exercised in tests.
-//! * [`rng`] — [`rng::CkptRng`] / [`rng::CkptNormal`]: the xoshiro256++
-//!   generator and Marsaglia polar sampler with *serializable* state,
-//!   because resumability requires saving the spare Gaussian variate the
-//!   polar method caches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,13 +30,11 @@
 pub mod checkpoint;
 pub mod degrade;
 pub mod fault;
-pub mod rng;
 pub mod supervisor;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use degrade::{DegradeEvent, GeneratorTier, Ladder, LadderExhausted};
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use rng::{CkptNormal, CkptRng};
 pub use supervisor::{Deadline, FailureKind, RecoveryRecord, RetryPolicy, Supervisor};
 
 use std::sync::Mutex;

@@ -6,10 +6,11 @@
 //! stack into a long-running service:
 //!
 //! * **Sessions** — a client opens a session (seed + chunk geometry), then
-//!   pulls chunked synthetic traffic. Generation state is the same explicit
-//!   [`svbr_resilience`] state the reference run uses (xoshiro words, polar
-//!   spare, Hosking φ/v recursion), so every chunk is a pure function of
-//!   the session seed and the tier of each chunk so far.
+//!   pulls chunked synthetic traffic. Generation state is the explicit
+//!   [`GenState`] the `repro resilience` reference run also uses (the
+//!   random generator, the polar normal sampler, the Hosking φ/v
+//!   recursion), so every chunk is a pure function of the session seed
+//!   and the tier of each chunk so far.
 //! * **Backpressure** — each session generates into a *bounded* channel
 //!   ([`std::sync::mpsc::sync_channel`]); a slow reader blocks only its own
 //!   worker, never another session's, and readahead is capped at the

@@ -232,49 +232,40 @@ fn span_table(forest: &svbr_profile::SpanForest) -> String {
     out
 }
 
-/// One case pulled out of a bench report's `cases`/`results` array.
+/// The report schema `repro bench` writes (`svbr_bench::bench_suite::SCHEMA`),
+/// the only one `bench-compare` reads.
+const BENCH_SCHEMA: f64 = 2.0;
+
+/// One case pulled out of a bench report's `cases` array.
 #[derive(Debug, Clone, PartialEq)]
 struct BenchCase {
     name: String,
-    /// Samples per iteration (absent in schema-1 reports).
-    n: Option<u64>,
-    /// Executor worker threads (absent in schema-1 reports).
-    threads: Option<u64>,
+    /// Samples per iteration.
+    n: u64,
+    /// Executor worker threads.
+    threads: u64,
     samples_per_sec: f64,
 }
 
 impl BenchCase {
-    /// Case identity for the regression gate: `(name, n, threads)`. A side
-    /// missing `n` or `threads` (an old schema-1 baseline) matches any
-    /// value on the other side, so regenerating a baseline never strands
-    /// the gate.
+    /// Case identity for the regression gate: `(name, n, threads)`.
     fn same_case(&self, other: &BenchCase) -> bool {
-        let opt_eq = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(x), Some(y)) => x == y,
-            _ => true,
-        };
-        self.name == other.name && opt_eq(self.n, other.n) && opt_eq(self.threads, other.threads)
+        (&self.name, self.n, self.threads) == (&other.name, other.n, other.threads)
     }
 
     /// Display key, e.g. `hosking_replicated_cached[n=4096,t=4]`.
     fn key(&self) -> String {
-        match (self.n, self.threads) {
-            (Some(n), Some(t)) => format!("{}[n={n},t={t}]", self.name),
-            (Some(n), None) => format!("{}[n={n}]", self.name),
-            (None, Some(t)) => format!("{}[t={t}]", self.name),
-            (None, None) => self.name.clone(),
-        }
+        format!("{}[n={},t={}]", self.name, self.n, self.threads)
     }
 }
 
-/// Run provenance pulled from a bench report's header fields (both absent
-/// in schema-1 reports — tolerated, rendered as `unknown`).
+/// Run provenance pulled from a bench report's header fields (a missing
+/// field is tolerated and rendered as `unknown`).
 #[derive(Debug, Default)]
 struct BenchMeta {
     git_revision: Option<String>,
     host: Option<String>,
-    /// `host.available_parallelism` from a schema-2 report: what the
-    /// producing machine could actually run. Lets the gate tell "case was
+    /// `host.available_parallelism`: what the producing machine could actually run. Lets the gate tell "case was
     /// dropped" apart from "case cannot exist on this host" (the suite
     /// clamps its thread matrix to the host).
     available_parallelism: Option<u64>,
@@ -342,6 +333,11 @@ fn parse_bench_cases(text: &str) -> Result<Vec<BenchCase>, String> {
     let Json::Obj(obj) = &parsed else {
         return Err("top level is not an object".to_string());
     };
+    match obj.get("schema").and_then(Json::as_f64) {
+        Some(v) if v == BENCH_SCHEMA => {}
+        Some(v) => return Err(format!("schema {v}, expected {BENCH_SCHEMA}")),
+        None => return Err("no `schema` field".to_string()),
+    }
     let cases = obj
         .get("cases")
         .and_then(Json::as_array)
@@ -359,11 +355,16 @@ fn parse_bench_cases(text: &str) -> Result<Vec<BenchCase>, String> {
             .get("samples_per_sec")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("case `{name}` has no `samples_per_sec`"))?;
-        let num = |field: &str| c.get(field).and_then(Json::as_f64).map(|v| v as u64);
+        let num = |field: &str| {
+            c.get(field)
+                .and_then(Json::as_f64)
+                .map(|v| v as u64)
+                .ok_or_else(|| format!("case `{name}` has no `{field}`"))
+        };
         out.push(BenchCase {
             name: name.to_string(),
-            n: num("n"),
-            threads: num("threads"),
+            n: num("n")?,
+            threads: num("threads")?,
             samples_per_sec: sps,
         });
     }
@@ -434,10 +435,9 @@ fn bench_compare(baseline_path: &str, current_path: &str, threshold: f64) -> i32
                 // a host mismatch, not a dropped bench: skip with a note
                 // instead of failing the gate. Applies only to the
                 // cross-host direction we can prove from the reports.
-                let host_cannot_run = match (b.threads, cur_meta.available_parallelism) {
-                    (Some(t), Some(p)) => t > p,
-                    _ => false,
-                };
+                let host_cannot_run = cur_meta
+                    .available_parallelism
+                    .is_some_and(|p| b.threads > p);
                 if host_cannot_run {
                     let _ = writeln!(
                         out,
@@ -586,9 +586,9 @@ mod tests {
             meta.render(),
             "rev=0123456789ab host=Test CPU (16 cores, rustc 1.82.0)"
         );
-        // Schema-1 reports carry neither field.
-        let v1 = bench_json(&[("hosking", 1000.0)]);
-        assert_eq!(parse_bench_meta(&v1).render(), "rev=unknown host=unknown");
+        // A report without either field still renders.
+        let bare = bench_json(&[("hosking", 100, 1, 1000.0)]);
+        assert_eq!(parse_bench_meta(&bare).render(), "rev=unknown host=unknown");
         // Host without a cores field still renders.
         let partial = "{\"git_revision\": \"ab\", \"host\": {\"cpu_model\": \"X\"}, \"cases\": []}";
         assert_eq!(
@@ -601,28 +601,25 @@ mod tests {
         );
     }
 
-    /// The bench-compare fixture: one schema-1 report (no `threads`
-    /// field) at given throughputs.
-    fn bench_json(cases: &[(&str, f64)]) -> String {
-        let rows: Vec<String> = cases
-            .iter()
-            .map(|(name, sps)| {
-                format!(
-                    "    {{\"name\": \"{name}\", \"n\": 100, \"iters\": 5, \
-                     \"samples_per_sec\": {sps}, \"p50_us\": 1.0, \
-                     \"p95_us\": 2.0, \"total_secs\": 0.1}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"name\": \"svbr_bench_suite\",\n  \"schema\": 1,\n  \
-             \"cases\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+    /// The bench-compare fixture: a schema-2 report whose cases carry
+    /// `(name, n, threads, samples_per_sec)`.
+    fn bench_json(cases: &[(&str, u64, u64, f64)]) -> String {
+        report_json(cases, "")
+    }
+
+    /// [`bench_json`] with a host header carrying `available_parallelism`
+    /// — what the cross-host skip keys on.
+    fn bench_json_host(cases: &[(&str, u64, u64, f64)], avail: u64) -> String {
+        report_json(
+            cases,
+            &format!(
+                "\"host\": {{\"cpu_model\": \"X\", \"cores\": {avail}, \
+                 \"available_parallelism\": {avail}, \"rustc\": \"rustc 1.82.0\"}},\n  "
+            ),
         )
     }
 
-    /// Schema-2 fixture: cases carry `(name, n, threads, samples_per_sec)`.
-    fn bench_json_v2(cases: &[(&str, u64, u64, f64)]) -> String {
+    fn report_json(cases: &[(&str, u64, u64, f64)], header: &str) -> String {
         let rows: Vec<String> = cases
             .iter()
             .map(|(name, n, threads, sps)| {
@@ -634,7 +631,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\n  \"name\": \"svbr_bench_suite\",\n  \"schema\": 2,\n  \
+            "{{\n  \"name\": \"svbr_bench_suite\",\n  \"schema\": 2,\n  {header}\
              \"cases\": [\n{}\n  ]\n}}\n",
             rows.join(",\n")
         )
@@ -645,17 +642,17 @@ mod tests {
         let tree = TmpTree::new(&[
             (
                 "baseline.json",
-                &bench_json(&[("hosking", 1000.0), ("lindley", 5000.0)]),
+                &bench_json(&[("hosking", 100, 1, 1000.0), ("lindley", 100, 1, 5000.0)]),
             ),
             (
                 // hosking deliberately slowed well past the 15% gate;
                 // lindley within noise.
                 "current.json",
-                &bench_json(&[("hosking", 700.0), ("lindley", 4900.0)]),
+                &bench_json(&[("hosking", 100, 1, 700.0), ("lindley", 100, 1, 4900.0)]),
             ),
             (
                 "ok.json",
-                &bench_json(&[("hosking", 900.0), ("lindley", 5200.0)]),
+                &bench_json(&[("hosking", 100, 1, 900.0), ("lindley", 100, 1, 5200.0)]),
             ),
         ]);
         let path = |n: &str| tree.path(n);
@@ -689,31 +686,24 @@ mod tests {
         let tree = TmpTree::new(&[
             (
                 "baseline.json",
-                &bench_json_v2(&[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 3000.0)]),
+                &bench_json(&[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 3000.0)]),
             ),
             (
                 // Only the 4-thread variant regressed; name-only matching
                 // would pair both baseline rows with the first (healthy)
                 // current row and miss it.
                 "t4_slowed.json",
-                &bench_json_v2(&[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 1200.0)]),
+                &bench_json(&[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 1200.0)]),
             ),
             (
                 "ok.json",
-                &bench_json_v2(&[("cached", 4096, 1, 980.0), ("cached", 4096, 4, 2950.0)]),
+                &bench_json(&[("cached", 4096, 1, 980.0), ("cached", 4096, 4, 2950.0)]),
             ),
             (
                 // A different n is a different case: its disappearance is
                 // a gate failure even though the name survives.
                 "n_changed.json",
-                &bench_json_v2(&[("cached", 8192, 1, 1000.0), ("cached", 4096, 4, 3000.0)]),
-            ),
-            // A schema-1 baseline (no threads recorded) still gates a
-            // schema-2 report: the missing `threads` matches any value.
-            ("v1_baseline.json", &bench_json(&[("cached", 1000.0)])),
-            (
-                "v2_current.json",
-                &bench_json_v2(&[("cached", 100, 4, 980.0)]),
+                &bench_json(&[("cached", 8192, 1, 1000.0), ("cached", 4096, 4, 3000.0)]),
             ),
         ]);
         let path = |n: &str| tree.path(n);
@@ -729,32 +719,6 @@ mod tests {
             bench_compare(&path("baseline.json"), &path("n_changed.json"), 0.15),
             1
         );
-        assert_eq!(
-            bench_compare(&path("v1_baseline.json"), &path("v2_current.json"), 0.15),
-            0
-        );
-    }
-
-    /// Schema-2 fixture with a host header carrying
-    /// `available_parallelism` — what the cross-host skip keys on.
-    fn bench_json_v2_host(cases: &[(&str, u64, u64, f64)], avail: u64) -> String {
-        let rows: Vec<String> = cases
-            .iter()
-            .map(|(name, n, threads, sps)| {
-                format!(
-                    "    {{\"name\": \"{name}\", \"n\": {n}, \"iters\": 5, \
-                     \"threads\": {threads}, \"samples_per_sec\": {sps}, \
-                     \"p50_us\": 1.0, \"p95_us\": 2.0, \"total_secs\": 0.1}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"name\": \"svbr_bench_suite\",\n  \"schema\": 2,\n  \
-             \"host\": {{\"cpu_model\": \"X\", \"cores\": {avail}, \
-             \"available_parallelism\": {avail}, \"rustc\": \"rustc 1.82.0\"}},\n  \
-             \"cases\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        )
     }
 
     #[test]
@@ -766,24 +730,24 @@ mod tests {
         let tree = TmpTree::new(&[
             (
                 "baseline16.json",
-                &bench_json_v2_host(
+                &bench_json_host(
                     &[("cached", 4096, 1, 1000.0), ("cached", 4096, 4, 3000.0)],
                     16,
                 ),
             ),
             (
                 "current1.json",
-                &bench_json_v2_host(&[("cached", 4096, 1, 990.0)], 1),
+                &bench_json_host(&[("cached", 4096, 1, 990.0)], 1),
             ),
             (
                 "current8.json",
-                &bench_json_v2_host(&[("cached", 4096, 1, 990.0)], 8),
+                &bench_json_host(&[("cached", 4096, 1, 990.0)], 8),
             ),
             (
-                // No host header at all (schema-1-ish current): cannot
-                // prove the mismatch, so the vanished case still fails.
+                // No host header at all: cannot prove the mismatch, so
+                // the vanished case still fails.
                 "current_nohost.json",
-                &bench_json_v2(&[("cached", 4096, 1, 990.0)]),
+                &bench_json(&[("cached", 4096, 1, 990.0)]),
             ),
         ]);
         let path = |n: &str| tree.path(n);
@@ -809,10 +773,26 @@ mod tests {
         let tree = TmpTree::new(&[
             (
                 "baseline.json",
-                &bench_json(&[("hosking", 1000.0), ("lindley", 5000.0)]),
+                &bench_json(&[("hosking", 100, 1, 1000.0), ("lindley", 100, 1, 5000.0)]),
             ),
-            ("missing.json", &bench_json(&[("hosking", 1000.0)])),
+            ("missing.json", &bench_json(&[("hosking", 100, 1, 1000.0)])),
             ("garbage.json", "not json at all"),
+            // Only the schema `repro bench` writes is read: an old
+            // schema-1 report, and a case without `n` or `threads`, are
+            // refused rather than matched against any value.
+            (
+                "schema1.json",
+                &bench_json(&[("hosking", 100, 1, 1000.0)])
+                    .replace("\"schema\": 2", "\"schema\": 1"),
+            ),
+            (
+                "no_threads.json",
+                &bench_json(&[("hosking", 100, 1, 1000.0)]).replace("\"threads\": 1, ", ""),
+            ),
+            (
+                "no_n.json",
+                &bench_json(&[("hosking", 100, 1, 1000.0)]).replace("\"n\": 100, ", ""),
+            ),
         ]);
         let path = |n: &str| tree.path(n);
         // A case vanishing from the suite is a gate failure, not a skip.
@@ -833,13 +813,25 @@ mod tests {
             bench_compare("/nonexistent.json", &path("baseline.json"), 0.15),
             1
         );
+        for bad in ["schema1.json", "no_threads.json", "no_n.json"] {
+            assert_eq!(
+                bench_compare(&path("missing.json"), &path(bad), 0.15),
+                1,
+                "{bad}"
+            );
+            assert_eq!(
+                bench_compare(&path(bad), &path("missing.json"), 0.15),
+                1,
+                "{bad}"
+            );
+        }
     }
 
     #[test]
     fn bench_compare_via_cli_parses_flags() {
         let tree = TmpTree::new(&[
-            ("b.json", &bench_json(&[("hosking", 1000.0)])),
-            ("c.json", &bench_json(&[("hosking", 700.0)])),
+            ("b.json", &bench_json(&[("hosking", 100, 1, 1000.0)])),
+            ("c.json", &bench_json(&[("hosking", 100, 1, 700.0)])),
         ]);
         let path = |n: &str| tree.path(n);
         let args = |v: &[String]| v.to_vec();
