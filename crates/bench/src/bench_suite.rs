@@ -25,7 +25,7 @@ use svbr::lrd::hosking::HoskingSampler;
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::Lognormal;
 use svbr::marginal::{BinnedEmpirical, Gamma, Marginal};
-use svbr::queue::lindley::{first_passage_lanes_into, LindleyQueue, LANES};
+use svbr::queue::lindley::LindleyQueue;
 use svbr_obsv::Stopwatch;
 use svbr_resilience::degrade::{prepare_table, GeneratorTier};
 use svbr_serve::{drain_session, generate_chunk_into, ChunkScratch, GenState, SessionSpec};
@@ -218,16 +218,6 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
         },
         CaseSpec {
             name: "lindley",
-            n: scale(262_144, 32_768),
-            iters: scale(20, 5),
-            threads: 1,
-        },
-        // The same total sample count through the lane-batched first-passage
-        // kernel the Monte-Carlo fan-out runs (LANES independent paths per
-        // slot): the scalar recursion above is one serial add/max
-        // dependency chain, the lanes are LANES independent ones.
-        CaseSpec {
-            name: "lindley_lanes",
             n: scale(262_144, 32_768),
             iters: scale(20, 5),
             threads: 1,
@@ -433,23 +423,6 @@ pub fn run_suite(
                     let mut q = LindleyQueue::new(3.2).unwrap_or_else(|e| die(spec.name, &e));
                     let level = q.run(&arrivals);
                     assert!(level.is_finite());
-                })
-            }
-            "lindley_lanes" => {
-                // Same total sample count as `lindley`, split into LANES
-                // independent paths fed through `first_passage_lanes_into`:
-                // each lane is bit-identical to the scalar first-passage
-                // recursion, and the serial dependency chains run side by
-                // side instead of back to back. No path reaches an infinite
-                // buffer, so every lane runs its whole path.
-                let dh = DaviesHarte::new(FgnAcf::new(HURST)?, spec.n)?;
-                let arrivals: Vec<f64> = dh.generate(&mut rng).iter().map(|x| x + 3.0).collect();
-                let slot = spec.n / LANES;
-                let paths: Vec<&[f64]> = arrivals.chunks_exact(slot).take(LANES).collect();
-                let mut crossings = [None; LANES];
-                measure(spec, || {
-                    first_passage_lanes_into(&paths, 3.2, f64::INFINITY, &mut crossings);
-                    assert!(crossings.iter().all(Option::is_none));
                 })
             }
             "is_estimator" => {

@@ -159,7 +159,6 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
     use svbr::lrd::gauss::Normal;
     use svbr::lrd::kernels;
     use svbr::lrd::{fft_plan, DaviesHarte as Dh, HoskingSampler};
-    use svbr::queue::lindley::{first_passage_lanes_into, first_passage_slot, LANES};
     use svbr::stats::{mavar_hurst, sample_acf, sample_acf_fft as acf_fft, MavarOptions};
 
     const HURST: f64 = 0.9;
@@ -254,28 +253,7 @@ fn vectorization_ablation() -> Result<(), Box<dyn std::error::Error>> {
         println!("FftPlan (n={n}): round trip max |Δx| = {round_trip:.3e} (asserted < 1e-14)");
     }
 
-    // 5d. first_passage_lanes_into: per-lane arithmetic identical to the
-    // scalar first-passage recursion — asserted bit-identical.
-    {
-        let dh = Dh::new(FgnAcf::new(HURST)?, 65_536)?;
-        let mut rng = StdRng::seed_from_u64(SEED ^ 3);
-        let arrivals: Vec<f64> = dh.generate(&mut rng).iter().map(|x| x + 3.0).collect();
-        let slot = arrivals.len() / LANES;
-        let paths: Vec<&[f64]> = arrivals.chunks_exact(slot).take(LANES).collect();
-        let b = 10.0;
-        let mut batched = [None; LANES];
-        first_passage_lanes_into(&paths, 3.2, b, &mut batched);
-        let scalar: Vec<Option<usize>> = paths
-            .iter()
-            .map(|p| first_passage_slot(p, 3.2, b))
-            .collect();
-        assert_eq!(batched[..], scalar[..]);
-        println!(
-            "first_passage_lanes_into: crossings {batched:?} bit-identical to first_passage_slot (asserted)"
-        );
-    }
-
-    // 5e. RealFft: Davies–Harte on half-length real transforms vs the
+    // 5d. RealFft: Davies–Harte on half-length real transforms vs the
     // full-length complex construction it replaced (complex FFT of the
     // whole circulant row, the full Hermitian spectrum, one forward
     // complex FFT), same seed and the same normal-variate sequence; and

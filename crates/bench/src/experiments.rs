@@ -9,7 +9,7 @@ use crate::{banner, reps, threads, trace_len, Csv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
-use svbr::is::{is_transient_curve, valley_search, IsEstimator, IsEvent, TransientConfig};
+use svbr::is::{IsEstimator, IsEvent};
 use svbr::lrd::acf::{Acf, TabulatedAcf};
 use svbr::lrd::davies_harte::DaviesHarte;
 use svbr::marginal::transform::GaussianTransform;
@@ -608,8 +608,18 @@ impl IsSystem {
 
 type AnyResultT<T> = Result<T, Box<dyn std::error::Error>>;
 
-/// Coarse valley search + final run: the heuristic twist-selection
-/// procedure the paper describes in §4.
+/// The twist of a coarse valley search over a fixed grid, with
+/// `(n_reps / 8).clamp(50, 400)` replications from `seed`: step 1 of the
+/// heuristic twist-selection procedure the paper describes in §4.
+fn coarse_twist(est: &IsEstimator<BinnedEmpirical>, n_reps: usize, seed: u64) -> AnyResultT<f64> {
+    let twists = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0];
+    let (points, best) = est.valley(&twists, (n_reps / 8).clamp(50, 400), seed, threads())?;
+    // With no hit at any twist, `best` is already the strongest one.
+    Ok(points[best].twist)
+}
+
+/// Coarse valley search + final run at the chosen twist on one prepared
+/// estimator: the heuristic twist-selection procedure of §4.
 fn is_point(
     ctx: &Context,
     kind: BackgroundKind,
@@ -619,28 +629,12 @@ fn is_point(
     n_reps: usize,
     seed: u64,
 ) -> AnyResultT<(f64, svbr::is::IsEstimate)> {
-    let sys = IsSystem::build(ctx, kind, horizon)?;
-    let mux = sys.mux(utilization);
-    let twists = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0];
-    let coarse = (n_reps / 8).clamp(50, 400);
-    let (points, best) = valley_search(
-        &sys.background,
-        horizon,
-        GaussianTransform::new(sys.transform_marginal.clone()),
-        mux.service_rate(),
-        mux.buffer(buffer_norm),
-        IsEvent::FirstPassage,
-        &twists,
-        coarse,
-        seed,
-        threads(),
-    )?;
-    // With no hit at any twist, `best` is already the strongest one.
-    let twist = points[best].twist;
-    let est = sys
-        .estimator(utilization, buffer_norm, twist)?
+    let est = IsSystem::build(ctx, kind, horizon)?.estimator(utilization, buffer_norm, 0.0)?;
+    let twist = coarse_twist(&est, n_reps, seed)?;
+    let estimate = est
+        .with_twist(twist)
         .run_parallel(n_reps, seed.wrapping_add(1), threads());
-    Ok((twist, est))
+    Ok((twist, estimate))
 }
 
 /// Fig. 14: normalized variance of the IS estimator vs the twist `m*`.
@@ -654,21 +648,10 @@ pub fn fig14(ctx: &Context, out: &mut dyn Write) -> AnyResult {
     let utilization = 0.2;
     let buffer_norm = 25.0;
     let n_reps = reps();
-    let sys = IsSystem::build(ctx, BackgroundKind::SrdLrd, horizon)?;
-    let mux = sys.mux(utilization);
     let twists: Vec<f64> = (1..=20).map(|i| i as f64 * 0.25).collect();
-    let (points, best) = valley_search(
-        &sys.background,
-        horizon,
-        GaussianTransform::new(sys.transform_marginal.clone()),
-        mux.service_rate(),
-        mux.buffer(buffer_norm),
-        IsEvent::FirstPassage,
-        &twists,
-        n_reps,
-        0x71614,
-        threads(),
-    )?;
+    let (points, best) = IsSystem::build(ctx, BackgroundKind::SrdLrd, horizon)?
+        .estimator(utilization, buffer_norm, 0.0)?
+        .valley(&twists, n_reps, 0x71614, threads())?;
     let mut csv = Csv::create(
         "fig14",
         &[
@@ -722,36 +705,19 @@ pub fn fig15(ctx: &Context, out: &mut dyn Write) -> AnyResult {
     let horizon = 2_000;
     let stop_times: Vec<usize> = (1..=20).map(|i| i * 100).collect();
     let sys = IsSystem::build(ctx, BackgroundKind::SrdLrd, horizon)?;
-    let mux = sys.mux(utilization);
-    // Choose a twist by a coarse first-passage search at the horizon.
-    let (twist, _) = is_point(
-        ctx,
-        BackgroundKind::SrdLrd,
-        utilization,
-        buffer_norm,
-        horizon,
-        (n_reps / 4).max(100),
-        0x71615,
+    let est = sys.estimator(utilization, buffer_norm, 0.0)?;
+    // Choose a twist by a coarse first-passage search at the horizon, then
+    // run the empty and full starts as two lanes of one twisted path.
+    let seed = 0x71615;
+    let twist = coarse_twist(&est, (n_reps / 4).max(100), seed)?;
+    let full = sys.mux(utilization).buffer(buffer_norm);
+    let curves = est.with_twist(twist).transient_curve(
+        &[0.0, full],
+        &stop_times,
+        n_reps,
+        seed,
+        threads(),
     )?;
-    let transform = GaussianTransform::new(sys.transform_marginal.clone());
-    let mut curves = Vec::new();
-    for (label, initial) in [("empty", 0.0), ("full", mux.buffer(buffer_norm))] {
-        let est = is_transient_curve(
-            &sys.background,
-            &transform,
-            &TransientConfig {
-                service: mux.service_rate(),
-                buffer: mux.buffer(buffer_norm),
-                initial,
-                twist,
-                stop_times: stop_times.clone(),
-            },
-            n_reps,
-            0x71615 ^ initial.to_bits(),
-            threads(),
-        )?;
-        curves.push((label, est));
-    }
     let mut csv = Csv::create(
         "fig15",
         &[
@@ -769,8 +735,8 @@ pub fn fig15(ctx: &Context, out: &mut dyn Write) -> AnyResult {
         "k", "log10 P empty", "log10 P full"
     )?;
     for (i, &k) in stop_times.iter().enumerate() {
-        let pe = curves[0].1.p[i];
-        let pf = curves[1].1.p[i];
+        let pe = curves[0][i].p;
+        let pf = curves[1][i].p;
         csv.row(&[
             k as f64,
             pe.max(1e-300).log10(),
@@ -1009,28 +975,19 @@ pub fn obsv_demo(seed: u64, out: &mut dyn Write) -> AnyResult {
     // IS layer: a 3-point valley search plus a final parallel run (is.valley
     // and is.run points, effective-sample-size gauge).
     let horizon = 200;
-    let (valley, best) = valley_search(
-        &table,
-        horizon,
-        transform.clone(),
-        service,
-        2.0 * mean,
-        IsEvent::FirstPassage,
-        &[0.5, 1.0, 1.5],
-        64,
-        seed,
-        threads().min(4),
-    )?;
     let est = IsEstimator::new(
         &table,
         horizon,
         transform,
         service,
         2.0 * mean,
-        valley[best].twist,
+        0.0,
         IsEvent::FirstPassage,
     )?;
-    let is = est.run_parallel(128, seed ^ 0xabcd, threads().min(4));
+    let (valley, best) = est.valley(&[0.5, 1.0, 1.5], 64, seed, threads().min(4))?;
+    let is = est
+        .with_twist(valley[best].twist)
+        .run_parallel(128, seed ^ 0xabcd, threads().min(4));
     writeln!(
         out,
         "IS at twist {:.2}: p = {:.3e}, hits = {}/{}",

@@ -33,8 +33,9 @@ pub enum IsEvent {
     /// distribution to `Q_k > b` for a queue started empty (eq. 17), and
     /// allows early termination on the first crossing (step 5).
     FirstPassage,
-    /// `Q_k > b` for the Lindley recursion started at the given level —
-    /// needed for the full-buffer curves of Fig. 15. No early termination.
+    /// `Q_k > b` at the horizon for the Lindley recursion started at the
+    /// given level: the one-stop-time case of
+    /// [`IsEstimator::transient_curve`]. No early termination.
     LevelAtHorizon {
         /// Initial queue level `Q_0`.
         initial: f64,
@@ -166,7 +167,7 @@ impl IsEstimate {
 
 /// Check the queueing configuration every estimator needs: a horizon of at
 /// least one slot, a finite positive service rate, and a finite buffer.
-pub(crate) fn check_system(horizon: usize, service: f64, buffer: f64) -> Result<(), SvbrError> {
+fn check_system(horizon: usize, service: f64, buffer: f64) -> Result<(), SvbrError> {
     if horizon == 0 {
         return Err(SvbrError::OutOfRange {
             name: "horizon",
@@ -231,27 +232,6 @@ impl<M: Marginal> IsEstimator<M> {
         })
     }
 
-    /// Reuse an already-prepared recursion (e.g. across twists in a valley
-    /// search — the preparation is the expensive part). Performs no
-    /// validation; [`Self::new`] does.
-    pub fn from_prepared(
-        prepared: Arc<PreparedHosking>,
-        transform: GaussianTransform<M>,
-        service: f64,
-        buffer: f64,
-        twist: f64,
-        event: IsEvent,
-    ) -> Self {
-        Self {
-            prepared,
-            transform,
-            service,
-            buffer,
-            twist,
-            event,
-        }
-    }
-
     /// The horizon `k`.
     pub fn horizon(&self) -> usize {
         self.prepared.len()
@@ -260,6 +240,11 @@ impl<M: Marginal> IsEstimator<M> {
     /// The twist `m*`.
     pub fn twist(&self) -> f64 {
         self.twist
+    }
+
+    /// The buffer threshold `b`.
+    pub(crate) fn buffer(&self) -> f64 {
+        self.buffer
     }
 
     /// Clone with a different twist. The prepared recursion is shared, not
@@ -288,31 +273,51 @@ impl<M: Marginal> IsEstimator<M> {
         rng: &mut R,
         scratch: &mut PathScratch,
     ) -> IsReplication {
-        self.replicate_twists(std::slice::from_ref(&self.twist), rng, scratch);
+        let horizon = [self.horizon()];
+        let (initial, scoring) = self.scoring(&horizon);
+        let lane = LaneSpec {
+            twist: self.twist,
+            initial,
+        };
+        self.replicate_lanes(&[lane], scoring, rng, scratch);
         scratch.outcomes[0]
     }
 
-    /// One replication scoring every twist in `twists` on one shared
-    /// background path (this estimator's own twist is not used). Leaves the
-    /// outcomes, in twist order, in `scratch.outcomes`.
+    /// The initial level and scoring of this estimator's event; `horizon`
+    /// holds the one stop time a [`IsEvent::LevelAtHorizon`] lane is
+    /// scored at.
+    fn scoring<'a>(&self, horizon: &'a [usize; 1]) -> (f64, Scoring<'a>) {
+        match self.event {
+            IsEvent::FirstPassage => (0.0, Scoring::FirstPassage),
+            IsEvent::LevelAtHorizon { initial } => (initial, Scoring::Levels(horizon)),
+        }
+    }
+
+    /// The IS replication kernel: one replication scoring every lane in
+    /// `lanes` on one shared background path (this estimator's own twist
+    /// is not used). Leaves the outcomes in `scratch.outcomes`: one per
+    /// lane under [`Scoring::FirstPassage`], one per lane and stop time
+    /// (stop-major) under [`Scoring::Levels`].
     ///
     /// The twisted conditional mean is `m_i(x) + m*·(1 − Σφ)` (eqs. 35–36),
     /// and `m_i` is linear in the history, so the path twisted by `m*` is
     /// exactly `x = y + m*` with `y` the *untwisted* path driven by the same
     /// innovations `ε`. Each slot therefore costs one Durbin–Levinson dot
-    /// product and one normal draw however many twists are scored; per
-    /// twist it adds only the likelihood-ratio increment, `h(y + m*)` and
-    /// the workload update. The path stops once every twist has terminated.
-    fn replicate_twists<R: Rng + ?Sized>(
+    /// product and one normal draw however many lanes are scored; per lane
+    /// it adds only the likelihood-ratio increment, `h(y + m*)` and the
+    /// workload or queue update. First-passage lanes stop at their
+    /// crossing and the path stops once every lane has; level lanes run to
+    /// the last stop time.
+    fn replicate_lanes<R: Rng + ?Sized>(
         &self,
-        twists: &[f64],
+        specs: &[LaneSpec],
+        scoring: Scoring<'_>,
         rng: &mut R,
         scratch: &mut PathScratch,
     ) {
-        let horizon = self.prepared.len();
-        let start = match self.event {
-            IsEvent::LevelAtHorizon { initial } => initial,
-            IsEvent::FirstPassage => 0.0,
+        let slots = match scoring {
+            Scoring::FirstPassage => self.prepared.len(),
+            Scoring::Levels(stops) => stops.last().copied().unwrap_or(0),
         };
         let PathScratch {
             path,
@@ -320,19 +325,19 @@ impl<M: Marginal> IsEstimator<M> {
             outcomes,
         } = scratch;
         path.clear();
-        path.reserve(horizon);
+        path.reserve(slots);
         lanes.clear();
-        lanes.resize(
-            twists.len(),
-            Lane {
-                log_lr: 0.0,
-                level: start,
-                stopped_at: None,
-            },
-        );
-        let mut live = twists.len();
+        lanes.extend(specs.iter().map(|spec| Lane {
+            twist: spec.twist,
+            log_lr: 0.0,
+            level: spec.initial,
+            stopped_at: None,
+        }));
+        outcomes.clear();
+        let mut live = lanes.len();
+        let mut next_stop = 0;
         let mut normal = Normal::new();
-        for i in 0..horizon {
+        for i in 0..slots {
             if live == 0 {
                 break;
             }
@@ -340,13 +345,13 @@ impl<M: Marginal> IsEstimator<M> {
             let eps = normal.sample(rng) * m.var.sqrt();
             let y = m.mean + eps;
             path.push(y);
-            for (lane, &twist) in lanes.iter_mut().zip(twists) {
+            for lane in lanes.iter_mut() {
                 if lane.stopped_at.is_some() {
                     continue;
                 }
                 // ln L_i = −shift·(2ε + shift)/(2v), shift = m*·(1 − Σφ)
                 // (see crate docs).
-                let shift = twist * (1.0 - m.phi_sum);
+                let shift = lane.twist * (1.0 - m.phi_sum);
                 // Exact zero: untwisted replications must skip the LR update entirely
                 if shift != 0.0 {
                     lane.log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
@@ -355,34 +360,107 @@ impl<M: Marginal> IsEstimator<M> {
                         "likelihood-ratio accumulator left the finite range at slot {i}"
                     );
                 }
-                let arrivals = self.transform.apply(y + twist);
-                match self.event {
-                    IsEvent::FirstPassage => {
+                let arrivals = self.transform.apply(y + lane.twist);
+                match scoring {
+                    Scoring::FirstPassage => {
                         lane.level += arrivals - self.service;
                         if lane.level > self.buffer {
                             lane.stopped_at = Some(i + 1);
                             live -= 1;
                         }
                     }
-                    IsEvent::LevelAtHorizon { .. } => {
+                    Scoring::Levels(_) => {
                         lane.level = (lane.level + arrivals - self.service).max(0.0);
                     }
                 }
             }
-        }
-        outcomes.clear();
-        outcomes.extend(lanes.iter().map(|lane| {
-            let hit = match self.event {
-                IsEvent::FirstPassage => lane.stopped_at.is_some(),
-                IsEvent::LevelAtHorizon { .. } => lane.level > self.buffer,
-            };
-            IsReplication {
-                hit,
-                weight: if hit { lane.log_lr.exp() } else { 0.0 },
-                log_lr: lane.log_lr,
-                slots_used: lane.stopped_at.unwrap_or(horizon),
+            if let Scoring::Levels(stops) = scoring {
+                while stops.get(next_stop) == Some(&(i + 1)) {
+                    outcomes.extend(
+                        lanes
+                            .iter()
+                            .map(|lane| lane.outcome(lane.level > self.buffer, i + 1)),
+                    );
+                    next_stop += 1;
+                }
             }
-        }));
+        }
+        if let Scoring::FirstPassage = scoring {
+            outcomes.extend(lanes.iter().map(|lane| {
+                lane.outcome(lane.stopped_at.is_some(), lane.stopped_at.unwrap_or(slots))
+            }));
+        }
+    }
+
+    /// Importance-sampled transient curves (Fig. 15): for each initial
+    /// queue level `Q_0` in `initials`, the estimates of `Pr(Q_k > b)` at
+    /// each stop time `k` in `stop_times` (nondecreasing, each in
+    /// `1..=horizon`), as `curves[j][s]` for `initials[j]` and
+    /// `stop_times[s]`. The estimate's `mean_slots` is its stop time.
+    ///
+    /// Every initial level is a lane of one twisted path per replication,
+    /// at this estimator's twist (its event is not used): the queue
+    /// `Q_i = max(Q_{i−1} + h(y_i + m*) − c, 0)` runs from each level, and
+    /// at stop time `k` each lane scores `1{Q_k > b}·L_k`. The lanes share
+    /// the path and the likelihood ratio, and the Lindley step is monotone
+    /// in `Q_0` under IEEE rounding, so a higher start never estimates a
+    /// lower probability at any stop time. Replications run to the last
+    /// stop time (no early termination).
+    ///
+    /// Replication `i` draws from `svbr_par::derive_seed(master_seed, i)`
+    /// and outcomes are folded in replication order, so the curves are
+    /// bit-identical for any thread count.
+    pub fn transient_curve(
+        &self,
+        initials: &[f64],
+        stop_times: &[usize],
+        n_reps: usize,
+        master_seed: u64,
+        threads: usize,
+    ) -> Result<Vec<Vec<IsEstimate>>, crate::IsError>
+    where
+        M: Sync,
+    {
+        if initials.is_empty() || !initials.iter().all(|q| q.is_finite() && *q >= 0.0) {
+            return Err(crate::IsError::InvalidParameter {
+                name: "initials",
+                constraint: "non-empty, each finite and >= 0",
+            });
+        }
+        if stop_times.first().is_none_or(|&k| k == 0)
+            || stop_times.last().is_none_or(|&k| k > self.horizon())
+            || stop_times.windows(2).any(|w| w[1] < w[0])
+        {
+            return Err(crate::IsError::InvalidParameter {
+                name: "stop_times",
+                constraint: "non-empty, nondecreasing, each in 1..=horizon",
+            });
+        }
+        if n_reps == 0 {
+            return Err(crate::IsError::InvalidParameter {
+                name: "n_reps",
+                constraint: ">= 1",
+            });
+        }
+        let lanes: Vec<LaneSpec> = initials
+            .iter()
+            .map(|&initial| LaneSpec {
+                twist: self.twist,
+                initial,
+            })
+            .collect();
+        let scoring = Scoring::Levels(stop_times);
+        let estimates = self.run_lanes_from(&lanes, scoring, n_reps, master_seed, 0, threads);
+        Ok((0..lanes.len())
+            .map(|j| {
+                estimates
+                    .iter()
+                    .skip(j)
+                    .step_by(lanes.len())
+                    .copied()
+                    .collect()
+            })
+            .collect())
     }
 
     /// Run `n` replications sequentially.
@@ -613,8 +691,7 @@ impl<M: Marginal> IsEstimator<M> {
     /// `self.with_twist(twists[j]).run_parallel_from(n, master_seed,
     /// first_rep, threads)`: each twist's outcomes are folded in
     /// replication order, and its per-slot arithmetic does not depend on
-    /// which other twists share the path. Each worker block reuses one
-    /// [`PathScratch`] across its replications.
+    /// which other twists share the path.
     pub(crate) fn run_twists_from(
         &self,
         twists: &[f64],
@@ -626,62 +703,132 @@ impl<M: Marginal> IsEstimator<M> {
     where
         M: Sync,
     {
+        let horizon = [self.horizon()];
+        let (initial, scoring) = self.scoring(&horizon);
+        let lanes: Vec<LaneSpec> = twists
+            .iter()
+            .map(|&twist| LaneSpec { twist, initial })
+            .collect();
+        self.run_lanes_from(&lanes, scoring, n, master_seed, first_rep, threads)
+    }
+
+    /// Run replications `first_rep .. first_rep + n` of the master schedule
+    /// `master_seed` through [`Self::replicate_lanes`], folding each
+    /// outcome slot of a replication into its own [`Accumulator`] in
+    /// replication order. Returns one estimate per outcome slot. Each
+    /// worker block reuses one [`PathScratch`] across its replications.
+    fn run_lanes_from(
+        &self,
+        lanes: &[LaneSpec],
+        scoring: Scoring<'_>,
+        n: usize,
+        master_seed: u64,
+        first_rep: u64,
+        threads: usize,
+    ) -> Vec<IsEstimate>
+    where
+        M: Sync,
+    {
+        let per_rep = lanes.len()
+            * match scoring {
+                Scoring::FirstPassage => 1,
+                Scoring::Levels(stops) => stops.len(),
+            };
         // Replication-major: the outcomes of replication i occupy
-        // `twists.len()` consecutive entries.
+        // `per_rep` consecutive entries.
         let outcomes = svbr_par::par_map_blocks(n, threads, |range| {
             let mut scratch = PathScratch::default();
-            let mut block = Vec::with_capacity(range.len() * twists.len());
+            let mut block = Vec::with_capacity(range.len() * per_rep);
             for i in range {
                 let seed = svbr_par::derive_seed(master_seed, first_rep + i as u64);
                 let mut rng = StdRng::seed_from_u64(seed);
-                self.replicate_twists(twists, &mut rng, &mut scratch);
+                self.replicate_lanes(lanes, scoring, &mut rng, &mut scratch);
                 block.extend_from_slice(&scratch.outcomes);
             }
             block
         });
-        let mut totals = vec![Accumulator::default(); twists.len()];
-        for rep in outcomes.chunks_exact(twists.len()) {
+        let mut totals = vec![Accumulator::default(); per_rep];
+        for rep in outcomes.chunks_exact(per_rep) {
             for (total, r) in totals.iter_mut().zip(rep) {
                 total.add(r);
             }
         }
+        // Each lane is observed once, at its last outcome slot, so the
+        // replication and hit counters do not count a lane per stop time.
+        let last_stop = per_rep - lanes.len();
         totals
             .iter()
-            .zip(twists)
-            .map(|(total, &twist)| {
+            .zip(lanes.iter().cycle())
+            .enumerate()
+            .map(|(j, (total, lane))| {
                 let est = total.finish();
-                self.observe_run(twist, total, &est, "parallel");
+                if j >= last_stop {
+                    self.observe_run(lane.twist, total, &est, "parallel");
+                }
                 est
             })
             .collect()
     }
 }
 
+/// How [`IsEstimator::replicate_lanes`] scores its lanes.
+#[derive(Debug, Clone, Copy)]
+enum Scoring<'a> {
+    /// Workload `W_i` from 0 against `b`; a lane stops at its first
+    /// crossing (step 5) and yields one outcome.
+    FirstPassage,
+    /// Queue level `Q_i` from the lane's initial level, scored at each of
+    /// these stop times (nondecreasing, at most the horizon).
+    Levels(&'a [usize]),
+}
+
+/// One lane of the shared-path kernel: a twist and the level its
+/// recursion starts from.
+#[derive(Debug, Clone, Copy)]
+struct LaneSpec {
+    twist: f64,
+    initial: f64,
+}
+
 /// Reusable per-replication buffers for the shared-path kernel
-/// ([`IsEstimator::replicate_twists`]); one per worker block, so
+/// ([`IsEstimator::replicate_lanes`]); one per worker block, so
 /// replications allocate nothing once the buffers reach their high-water
 /// mark.
 #[derive(Debug, Default)]
 struct PathScratch {
     /// The untwisted background path `y` so far.
     path: Vec<f64>,
-    /// Running state per twist, in twist order.
+    /// Running state per lane, in lane order.
     lanes: Vec<Lane>,
-    /// Outcome per twist of the last replication, in twist order.
+    /// Outcomes of the last replication (see
+    /// [`IsEstimator::replicate_lanes`]).
     outcomes: Vec<IsReplication>,
 }
 
-/// One twist's running state on the shared background path.
+/// One lane's running state on the shared background path.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
+    /// The twist `m*`.
+    twist: f64,
     /// Accumulated log-likelihood ratio.
     log_lr: f64,
-    /// Running workload `W_i` (first passage) or queue level `Q_i` (level
-    /// at horizon).
+    /// Running workload `W_i` (first passage) or queue level `Q_i`.
     level: f64,
     /// Slots simulated when the workload crossed the buffer; `None` while
-    /// the twist is live.
+    /// the lane is live.
     stopped_at: Option<usize>,
+}
+
+impl Lane {
+    /// The lane's outcome after `slots` slots, weighted `1{hit}·L`.
+    fn outcome(&self, hit: bool, slots: usize) -> IsReplication {
+        IsReplication {
+            hit,
+            weight: if hit { self.log_lr.exp() } else { 0.0 },
+            log_lr: self.log_lr,
+            slots_used: slots,
+        }
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -1054,6 +1201,137 @@ mod tests {
         // A looser target needs fewer replications.
         let loose = est.run_to_relative_error(0.5, 500, 50_000, 2, 2);
         assert!(loose.n <= e.n);
+    }
+
+    /// The transient system of the Fig. 15 kernel tests: service 0.7 and
+    /// buffer 3 on an fGn(`hurst`) background, horizon the last stop time.
+    fn transient(
+        hurst: f64,
+        stop_times: &[usize],
+        twist: f64,
+        initials: &[f64],
+        n_reps: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<Vec<Vec<IsEstimate>>, Box<dyn std::error::Error>> {
+        let est = IsEstimator::new(
+            FgnAcf::new(hurst)?,
+            stop_times.last().copied().unwrap_or(1),
+            GaussianTransform::new(NormalDist::standard()),
+            0.7,
+            3.0,
+            twist,
+            IsEvent::FirstPassage,
+        )?;
+        Ok(est.transient_curve(initials, stop_times, n_reps, seed, threads)?)
+    }
+
+    #[test]
+    fn transient_matches_plain_mc_at_zero_twist() -> Result<(), Box<dyn std::error::Error>> {
+        let est = transient(0.5, &[10, 50, 150], 0.0, &[0.0], 20_000, 1, 4)?.remove(0);
+        // Plain-MC comparison via the queue crate.
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut normal = Normal::new();
+        let mc = svbr_queue::transient_curve(
+            |_| (0..150).map(|_| normal.sample(&mut rng)).collect(),
+            20_000,
+            &[10, 50, 150],
+            0.7,
+            3.0,
+            svbr_queue::InitialCondition::Empty,
+        )?;
+        for (i, (e, &p_mc)) in est.iter().zip(mc.iter()).enumerate() {
+            let tol = 4.0 * (e.variance.sqrt() + (p_mc * (1.0 - p_mc) / 20_000.0).sqrt()) + 1e-4;
+            assert!(
+                (e.p - p_mc).abs() < tol,
+                "stop {i}: IS {} vs MC {p_mc}",
+                e.p
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn twisted_transient_agrees_with_untwisted() -> Result<(), Box<dyn std::error::Error>> {
+        let a = transient(0.5, &[40], 0.0, &[0.0], 40_000, 2, 4)?[0][0];
+        let b = transient(0.5, &[40], 0.5, &[0.0], 40_000, 3, 4)?[0][0];
+        let tol = 4.0 * (a.variance.sqrt() + b.variance.sqrt());
+        assert!(
+            (a.p - b.p).abs() < tol,
+            "untwisted {} vs twisted {}",
+            a.p,
+            b.p
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn full_start_exceeds_empty_start_early() -> Result<(), Box<dyn std::error::Error>> {
+        let curves = transient(0.5, &[5, 100], 0.3, &[0.0, 3.0], 10_000, 4, 4)?;
+        let (empty, full) = (&curves[0], &curves[1]);
+        assert!(
+            full[0].p > empty[0].p,
+            "early: full {} vs empty {}",
+            full[0].p,
+            empty[0].p
+        );
+        // Late: closer together (both near steady state).
+        assert!((full[1].p - empty[1].p).abs() < (full[0].p - empty[0].p));
+        Ok(())
+    }
+
+    #[test]
+    fn transient_curve_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let stops = [5, 20, 60];
+        let baseline = transient(0.7, &stops, 0.4, &[0.0], 400, 21, 1)?.remove(0);
+        assert!(baseline.iter().any(|e| e.p > 0.0), "need non-trivial hits");
+        for threads in [2usize, 8] {
+            let curve = transient(0.7, &stops, 0.4, &[0.0], 400, 21, threads)?.remove(0);
+            for (i, (e, b)) in curve.iter().zip(&baseline).enumerate() {
+                assert_eq!(e.p.to_bits(), b.p.to_bits(), "p[{i}] at threads={threads}");
+                assert_eq!(
+                    e.variance.to_bits(),
+                    b.variance.to_bits(),
+                    "variance[{i}] at threads={threads}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn transient_curve_shape() -> Result<(), Box<dyn std::error::Error>> {
+        let curve = transient(0.5, &[5, 10], 0.2, &[0.0], 500, 6, 2)?.remove(0);
+        assert_eq!(curve.len(), 2);
+        assert_eq!(curve[0].mean_slots, 5.0, "mean_slots is the stop time");
+        assert!(curve.iter().all(|e| e.p >= 0.0 && e.std_err() >= 0.0));
+        Ok(())
+    }
+
+    #[test]
+    fn transient_curve_validation() -> Result<(), Box<dyn std::error::Error>> {
+        let est = white_noise_system(10, 0.7, 3.0, 0.0, IsEvent::FirstPassage);
+        assert!(est.transient_curve(&[0.0], &[], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[0.0], &[0, 5], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[0.0], &[5, 3], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[0.0], &[5, 11], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[0.0], &[5], 0, 1, 1).is_err());
+        assert!(est.transient_curve(&[-1.0], &[5], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[], &[5], 10, 1, 1).is_err());
+        assert!(est.transient_curve(&[0.0, 3.0], &[5, 10], 10, 1, 1).is_ok());
+        Ok(())
+    }
+
+    #[test]
+    fn level_at_horizon_is_the_last_stop_of_a_transient_curve() {
+        // One kernel: a level-at-horizon run is the one-stop-time transient
+        // curve from the same schedule, bit for bit.
+        let est = white_noise_system(40, 0.7, 3.0, 0.4, IsEvent::LevelAtHorizon { initial: 2.0 });
+        let run = est.run_parallel(300, 17, 3);
+        let curve = est.transient_curve(&[2.0], &[10, 40], 300, 17, 3).unwrap();
+        assert!(run.hits > 0);
+        assert_eq!(run, curve[0][1]);
     }
 
     #[test]

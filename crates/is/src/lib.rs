@@ -15,8 +15,11 @@
 //! property that makes IS tractable for the full VBR video model, not just
 //! for FGN.
 //!
-//! * [`estimator`] — one IS replication and the replicated estimator, with
-//!   normalized variance and variance-reduction factors.
+//! * [`estimator`] — the IS replication kernel and the replicated
+//!   estimator, with normalized variance and variance-reduction factors,
+//!   and the transient curves of Fig. 15
+//!   ([`IsEstimator::transient_curve`]): empty and full starts are two
+//!   lanes of one twisted path per replication.
 //! * [`search`] — the heuristic "valley" search over the twist `m*`
 //!   (Fig. 14): the IS estimator is unbiased for *any* twist, so one scans
 //!   for the twist minimizing the normalized variance. The path twisted by
@@ -40,11 +43,9 @@
 
 pub mod estimator;
 pub mod search;
-pub mod transient;
 
 pub use estimator::{IsEstimate, IsEstimator, IsEvent, IsReplication};
 pub use search::{suggest_twist, valley_search, TwistPoint};
-pub use transient::{is_transient_curve, TransientConfig, TransientEstimate};
 
 pub use svbr_domain::SvbrError;
 

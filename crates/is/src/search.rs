@@ -6,11 +6,9 @@
 //! variance exhibits a clear 'valley' around the most favorable parameter
 //! values." (§4)
 
-use crate::estimator::{check_system, IsEstimate, IsEstimator, IsEvent};
+use crate::estimator::{IsEstimate, IsEstimator, IsEvent};
 use crate::IsError;
-use std::sync::Arc;
 use svbr_lrd::acf::Acf;
-use svbr_lrd::hosking::PreparedHosking;
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::Marginal;
 
@@ -31,28 +29,86 @@ impl TwistPoint {
     }
 }
 
-/// Evaluate the normalized variance at each candidate twist and return the
-/// full valley plus the index of its minimum.
+impl<M: Marginal + Sync> IsEstimator<M> {
+    /// Evaluate the normalized variance at each candidate twist and return
+    /// the full valley plus the index of its minimum. This estimator's
+    /// twist is not used; its prepared Hosking schedule is, so a caller
+    /// that goes on to run the chosen twist ([`Self::with_twist`]) prepares
+    /// once.
+    ///
+    /// Replication `i` draws one untwisted background path `y` from
+    /// `svbr_par::derive_seed(base_seed, i)` and scores every twist on it,
+    /// since the path twisted by `m*` is exactly `y + m*`: the twists see
+    /// common random numbers, which sharpens the comparison of the valley's
+    /// shape, and each slot's O(k) dot product is paid once instead of once
+    /// per twist. Point `j` is bit-identical to
+    /// `self.with_twist(twists[j]).run_parallel(n_reps, base_seed,
+    /// threads)`.
+    ///
+    /// The returned index is the twist with the smallest normalized
+    /// variance; when no twist has a finite one (no replication hit at any
+    /// twist), it is the largest twist — the one most likely to reach the
+    /// event.
+    ///
+    /// Errors with [`IsError::InvalidParameter`] on an empty or non-finite
+    /// twist list or `n_reps == 0`.
+    pub fn valley(
+        &self,
+        twists: &[f64],
+        n_reps: usize,
+        base_seed: u64,
+        threads: usize,
+    ) -> Result<(Vec<TwistPoint>, usize), IsError> {
+        if twists.is_empty() {
+            return Err(IsError::InvalidParameter {
+                name: "twists",
+                constraint: "at least one candidate",
+            });
+        }
+        if !twists.iter().all(|t| t.is_finite()) {
+            return Err(IsError::InvalidParameter {
+                name: "twists",
+                constraint: "every candidate finite",
+            });
+        }
+        if n_reps == 0 {
+            return Err(IsError::InvalidParameter {
+                name: "n_reps",
+                constraint: ">= 1",
+            });
+        }
+        let estimates = self.run_twists_from(twists, n_reps, base_seed, 0, threads);
+        let mut points = Vec::with_capacity(twists.len());
+        for (&twist, estimate) in twists.iter().zip(estimates) {
+            if svbr_obsv::enabled() {
+                svbr_obsv::point(
+                    "is.valley",
+                    &[
+                        ("twist", twist),
+                        ("buffer", self.buffer()),
+                        ("p", estimate.p),
+                        ("normalized_variance", estimate.normalized_variance()),
+                        ("hits", estimate.hits as f64),
+                    ],
+                );
+            }
+            points.push(TwistPoint { twist, estimate });
+        }
+        let best = best_point(&points);
+        Ok((points, best))
+    }
+}
+
+/// [`IsEstimator::valley`] on a freshly built estimator. It remains
+/// because the end-to-end benchmark's Fig. 16 workload calls it; every
+/// other caller builds one [`IsEstimator`] and calls
+/// [`IsEstimator::valley`] and then [`IsEstimator::with_twist`] on it, so
+/// the Hosking schedule is prepared once.
 ///
-/// The Durbin–Levinson preparation is done once. Replication `i` draws one
-/// untwisted background path `y` from `svbr_par::derive_seed(base_seed, i)`
-/// and scores every twist on it, since the path twisted by `m*` is exactly
-/// `y + m*`: the twists see common random numbers, which sharpens the
-/// comparison of the valley's shape, and each slot's O(k) dot product is
-/// paid once instead of once per twist. Point `j` is bit-identical to
-/// `IsEstimator::from_prepared(.., twists[j], ..).run_parallel(n_reps,
-/// base_seed, threads)`.
-///
-/// The returned index is the twist with the smallest normalized variance;
-/// when no twist has a finite one (no replication hit at any twist), it is
-/// the largest twist — the one most likely to reach the event.
-///
-/// Errors with [`IsError::InvalidParameter`] on an empty or non-finite
-/// twist list or `n_reps == 0`, and with [`IsError::Domain`] on an invalid
-/// horizon, service rate or buffer.
+/// Errors as [`IsEstimator::new`] and [`IsEstimator::valley`] do.
 #[expect(
     clippy::too_many_arguments,
-    reason = "the IS system (ACF, horizon, transform, service, buffer, event) plus the search grid and its seeding; mirrors IsEstimator::new and run_parallel"
+    reason = "the IS system (ACF, horizon, transform, service, buffer, event) plus the search grid and its seeding; mirrors IsEstimator::new and valley"
 )]
 pub fn valley_search<A: Acf, M: Marginal + Sync>(
     acf: A,
@@ -66,46 +122,8 @@ pub fn valley_search<A: Acf, M: Marginal + Sync>(
     base_seed: u64,
     threads: usize,
 ) -> Result<(Vec<TwistPoint>, usize), IsError> {
-    if twists.is_empty() {
-        return Err(IsError::InvalidParameter {
-            name: "twists",
-            constraint: "at least one candidate",
-        });
-    }
-    if !twists.iter().all(|t| t.is_finite()) {
-        return Err(IsError::InvalidParameter {
-            name: "twists",
-            constraint: "every candidate finite",
-        });
-    }
-    if n_reps == 0 {
-        return Err(IsError::InvalidParameter {
-            name: "n_reps",
-            constraint: ">= 1",
-        });
-    }
-    check_system(horizon, service, buffer)?;
-    let prepared = Arc::new(PreparedHosking::new(acf, horizon)?);
-    let est = IsEstimator::from_prepared(prepared, transform, service, buffer, twists[0], event);
-    let estimates = est.run_twists_from(twists, n_reps, base_seed, 0, threads);
-    let mut points = Vec::with_capacity(twists.len());
-    for (&twist, estimate) in twists.iter().zip(estimates) {
-        if svbr_obsv::enabled() {
-            svbr_obsv::point(
-                "is.valley",
-                &[
-                    ("twist", twist),
-                    ("buffer", buffer),
-                    ("p", estimate.p),
-                    ("normalized_variance", estimate.normalized_variance()),
-                    ("hits", estimate.hits as f64),
-                ],
-            );
-        }
-        points.push(TwistPoint { twist, estimate });
-    }
-    let best = best_point(&points);
-    Ok((points, best))
+    IsEstimator::new(acf, horizon, transform, service, buffer, 0.0, event)?
+        .valley(twists, n_reps, base_seed, threads)
 }
 
 /// Index of the smallest finite normalized variance, else of the largest
@@ -369,37 +387,19 @@ mod tests {
         let transform = GaussianTransform::new(NormalDist::standard());
         let (horizon, service, buffer, n_reps, seed, threads) = (40, 0.8, 4.0, 300, 19, 3);
         let twists = [0.0, 0.5, 1.25, 2.0, 3.5];
-        let prepared = Arc::new(PreparedHosking::new(acf, horizon)?);
         for event in [
             IsEvent::FirstPassage,
             IsEvent::LevelAtHorizon { initial: 2.0 },
         ] {
-            let (points, _) = valley_search(
-                acf,
-                horizon,
-                transform.clone(),
-                service,
-                buffer,
-                event,
-                &twists,
-                n_reps,
-                seed,
-                threads,
-            )?;
+            let est =
+                IsEstimator::new(acf, horizon, transform.clone(), service, buffer, 0.0, event)?;
+            let (points, _) = est.valley(&twists, n_reps, seed, threads)?;
             assert!(
                 points.iter().any(|p| p.estimate.hits > 0),
                 "{event:?}: no twist hit"
             );
             for p in &points {
-                let single = IsEstimator::from_prepared(
-                    prepared.clone(),
-                    transform.clone(),
-                    service,
-                    buffer,
-                    p.twist,
-                    event,
-                )
-                .run_parallel(n_reps, seed, threads);
+                let single = est.with_twist(p.twist).run_parallel(n_reps, seed, threads);
                 assert_eq!(
                     bits(&p.estimate),
                     bits(&single),

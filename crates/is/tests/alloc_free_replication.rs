@@ -1,11 +1,13 @@
 //! Counting-allocator proof that IS replications reuse their buffers.
 //!
 //! [`svbr_is::IsEstimator::run`] keeps one path scratch for the whole run:
-//! the background path, the per-twist lanes and the outcomes are cleared
-//! and refilled, never reallocated, once their capacity has grown to the
+//! the background path, the lanes and the outcomes are cleared and
+//! refilled, never reallocated, once their capacity has grown to the
 //! horizon. So with tracing off a run performs the same number of
 //! allocation events for `n` and for `4n` replications; an allocation per
-//! replication or per slot would make the count grow with `n`.
+//! replication or per slot would make the count grow with `n`. The same
+//! holds for [`svbr_is::IsEstimator::transient_curve`], whose level lanes
+//! and per-stop-time outcomes run on the same kernel and scratch.
 //!
 //! The allocator is process-global, so this file holds exactly one test —
 //! a second test thread would race the counter.
@@ -66,7 +68,7 @@ fn alloc_events() -> u64 {
 }
 
 #[test]
-fn run_allocates_the_same_for_n_and_4n_replications() {
+fn run_and_transient_curve_allocate_the_same_for_n_and_4n_replications() {
     const N: usize = 40;
     assert!(!svbr_obsv::enabled(), "the count is taken with tracing off");
 
@@ -102,6 +104,29 @@ fn run_allocates_the_same_for_n_and_4n_replications() {
         small,
         large,
         "IsEstimator::run allocated {small} times for {N} replications and {large} times for {}",
+        4 * N
+    );
+
+    // Transient curves: empty and full starts scored at five stop times.
+    // One worker, so thread spawns do not enter the count.
+    let stop_times = [40, 80, 120, 160, 200];
+    let curves = |n: usize| {
+        let before = alloc_events();
+        let curves = estimator
+            .transient_curve(&[0.0, 4.0], &stop_times, n, 5, 1)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let events = alloc_events() - before;
+        assert!(curves.iter().flatten().all(|e| e.n == n && e.p.is_finite()));
+        assert!(curves[1].iter().any(|e| e.hits > 0));
+        events
+    };
+    curves(N);
+    let small = curves(N);
+    let large = curves(4 * N);
+    assert_eq!(
+        small,
+        large,
+        "IsEstimator::transient_curve allocated {small} times for {N} replications and {large} times for {}",
         4 * N
     );
 }

@@ -39,8 +39,7 @@ pub mod superposition;
 pub mod transient;
 
 pub use lindley::{
-    first_passage_lanes_into, first_passage_slot, queue_path, sup_workload, validate_arrivals,
-    LindleyQueue, QueueStats,
+    first_passage_slot, queue_path, sup_workload, validate_arrivals, LindleyQueue, QueueStats,
 };
 pub use mc::{estimate_overflow, estimate_overflow_seeded, tail_curve_from_path, McEstimate};
 pub use mux::Mux;

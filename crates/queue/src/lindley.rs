@@ -69,56 +69,6 @@ impl LindleyQueue {
     }
 }
 
-/// Number of independent paths [`first_passage_lanes_into`] advances
-/// together per slot group. Matches the accumulator-lane count of the
-/// `svbr-lrd` Durbin–Levinson kernels: four f64 lanes fill one AVX2
-/// register.
-pub const LANES: usize = 4;
-
-/// Lane-batched form of [`first_passage_slot`]: the first crossing slot of
-/// each path in `paths` lands in `out`, advanced slot-major so the per-lane
-/// workload accumulators are independent dependency chains.
-///
-/// The scalar recursion is a serial chain — each slot's add must retire
-/// before the next starts — so one path is latency-bound; the lanes are
-/// [`LANES`] independent chains that can overlap. Each lane runs exactly the
-/// scalar recursion in the scalar order, so
-/// `out[l] == first_passage_slot(paths[l], service, b)` bit-for-bit; this
-/// is what lets `svbr-par` replication fan-outs feed one batched kernel
-/// without perturbing any seeded estimate. Lanes are processed in groups of
-/// [`LANES`] with stack-resident accumulators, so fan-outs can reuse one
-/// output buffer across groups. A group stops once every lane has crossed.
-///
-/// # Panics
-/// Panics if `out.len()` differs from `paths.len()`.
-pub fn first_passage_lanes_into(paths: &[&[f64]], service: f64, b: f64, out: &mut [Option<usize>]) {
-    assert_eq!(paths.len(), out.len(), "one output slot per lane required");
-    for (group, group_out) in paths.chunks(LANES).zip(out.chunks_mut(LANES)) {
-        let mut w = [0.0f64; LANES];
-        let max_len = group.iter().map(|p| p.len()).max().unwrap_or(0);
-        let mut remaining = group.len();
-        group_out.fill(None);
-        for s in 0..max_len {
-            if remaining == 0 {
-                break;
-            }
-            for (l, (slot, path)) in group_out.iter_mut().zip(group.iter()).enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let Some(&y) = path.get(s) else {
-                    continue;
-                };
-                w[l] += y - service;
-                if w[l] > b {
-                    *slot = Some(s + 1);
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-}
-
 /// Running statistics of a queue-level path: maximum depth, busy-period
 /// count and lengths. Feed it every level produced by
 /// [`LindleyQueue::step`]; O(1) state, no allocation.
@@ -311,49 +261,6 @@ mod tests {
         assert!(LindleyQueue::new(0.0).is_err());
         assert!(LindleyQueue::new(f64::NAN).is_err());
         assert!(LindleyQueue::with_initial(1.0, -1.0).is_err());
-    }
-
-    /// Deterministic pseudo-random arrivals for lane/scalar comparisons.
-    fn pseudo_path(seed: u64, len: usize) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 6.0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn first_passage_lanes_matches_scalar() {
-        let mu = 1.1;
-        let b = 40.0;
-        // Two full lane groups and a partial third.
-        let paths: Vec<Vec<f64>> = (10..20u64).map(|s| pseudo_path(s, 300)).collect();
-        let refs: Vec<&[f64]> = paths.iter().map(Vec::as_slice).collect();
-        let mut batched = vec![Some(usize::MAX); refs.len()];
-        first_passage_lanes_into(&refs, mu, b, &mut batched);
-        for (l, path) in paths.iter().enumerate() {
-            assert_eq!(
-                batched[l],
-                first_passage_slot(path, mu, b),
-                "lane {l} diverged"
-            );
-        }
-        // Unequal lengths: each lane still resolves against its own path.
-        let short = pseudo_path(99, 20);
-        let long = pseudo_path(100, 200);
-        let mut mixed = [None; 2];
-        first_passage_lanes_into(&[&short, &long], mu, 5.0, &mut mixed);
-        assert_eq!(mixed[0], first_passage_slot(&short, mu, 5.0));
-        assert_eq!(mixed[1], first_passage_slot(&long, mu, 5.0));
-        // Degenerate inputs; a stale output slot is overwritten.
-        first_passage_lanes_into(&[], mu, b, &mut []);
-        let mut stale = [Some(7)];
-        first_passage_lanes_into(&[&[]], mu, b, &mut stale);
-        assert_eq!(stale, [None]);
     }
 
     #[test]

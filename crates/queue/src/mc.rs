@@ -18,10 +18,7 @@
 //! worker threads, and hits are folded in replication order — the estimate
 //! is bit-identical for any thread count, including 1.
 
-use crate::lindley::{
-    first_passage_lanes_into, first_passage_slot, validate_arrivals, LindleyQueue, QueueStats,
-    LANES,
-};
+use crate::lindley::{first_passage_slot, validate_arrivals, LindleyQueue, QueueStats};
 use crate::QueueError;
 
 /// Replication interval between streaming-telemetry emissions in
@@ -188,15 +185,6 @@ where
 /// Unlike the sequential form, no streaming convergence telemetry is
 /// emitted (replications complete out of order across workers); the final
 /// `queue.overflow` point and counters are identical.
-///
-/// Each worker processes its contiguous replication block in groups of
-/// [`LANES`][crate::lindley::LANES] through the lane-batched first-passage
-/// kernel ([`first_passage_lanes_into`]) — the per-lane arithmetic is
-/// slot-for-slot the scalar recursion, so the batching is bit-identical to
-/// the per-replication [`first_passage_slot`] loop it replaced. A
-/// replication whose path fails validation records its error in place and
-/// its lane result (computed on the truncated path) is discarded, keeping
-/// lowest-index error reporting intact.
 pub fn estimate_overflow_seeded<F>(
     make_path: F,
     master_seed: u64,
@@ -210,47 +198,16 @@ where
     F: Fn(usize, u64) -> Vec<f64> + Sync,
 {
     validate_overflow_params(n_reps, horizon, service, b)?;
-    let outcomes = svbr_par::par_map_blocks(n_reps, threads, |range| {
-        let mut out: Vec<Result<bool, QueueError>> = Vec::with_capacity(range.len());
-        // Lane-group state, reused across groups: path storage, the
-        // validation outcome of each slot, and the crossing results. The
-        // only per-replication allocation is `make_path`'s own return.
-        let mut paths: [Vec<f64>; LANES] = std::array::from_fn(|_| Vec::new());
-        let mut errors: [Option<QueueError>; LANES] = std::array::from_fn(|_| None);
-        let mut crossings: [Option<usize>; LANES] = [None; LANES];
-        let mut rep = range.start;
-        while rep < range.end {
-            let k = (range.end - rep).min(LANES);
-            for slot in 0..k {
-                let i = rep + slot;
-                let path = make_path(i, svbr_par::derive_seed(master_seed, i as u64));
-                errors[slot] = if path.len() < horizon {
-                    Some(QueueError::PathTooShort {
-                        needed: horizon,
-                        got: path.len(),
-                    })
-                } else {
-                    validate_arrivals(&path[..horizon]).err()
-                };
-                paths[slot] = path;
-            }
-            {
-                // An errored lane is fed its (possibly truncated) prefix —
-                // lanes never interact, so it cannot perturb the others,
-                // and its result is dropped below in favor of the error.
-                let lanes: [&[f64]; LANES] =
-                    std::array::from_fn(|l| &paths[l][..paths[l].len().min(horizon)]);
-                first_passage_lanes_into(&lanes[..k], service, b, &mut crossings[..k]);
-            }
-            for slot in 0..k {
-                out.push(match errors[slot].take() {
-                    Some(e) => Err(e),
-                    None => Ok(crossings[slot].is_some()),
-                });
-            }
-            rep += k;
+    let outcomes = svbr_par::run_replications(master_seed, n_reps, threads, |rep, seed| {
+        let path = make_path(rep, seed);
+        if path.len() < horizon {
+            return Err(QueueError::PathTooShort {
+                needed: horizon,
+                got: path.len(),
+            });
         }
-        out
+        validate_arrivals(&path[..horizon])?;
+        Ok(first_passage_slot(&path[..horizon], service, b).is_some())
     });
     let mut hits = 0usize;
     for outcome in outcomes {

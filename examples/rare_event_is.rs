@@ -6,7 +6,7 @@
 //! cargo run --release --example rare_event_is
 //! ```
 
-use svbr::is::{valley_search, IsEstimator, IsEvent};
+use svbr::is::{IsEstimator, IsEvent};
 use svbr::marginal::transform::GaussianTransform;
 use svbr::marginal::Marginal;
 use svbr::model::{BackgroundKind, UnifiedFit, UnifiedOptions};
@@ -23,20 +23,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let background = fit.background_table(BackgroundKind::SrdLrd, horizon)?;
     let transform = GaussianTransform::new(fit.marginal.clone());
 
-    // 1. The valley: scan twists, watch the normalized variance dip.
-    let twists = [0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0];
-    let (points, best) = valley_search(
+    // One estimator prepares the Durbin–Levinson schedule once; the valley
+    // search and the final run share it.
+    let estimator = IsEstimator::new(
         &background,
         horizon,
-        transform.clone(),
+        transform,
         mux.service_rate(),
         buffer,
+        0.0,
         IsEvent::FirstPassage,
-        &twists,
-        2_000,
-        42,
-        4,
     )?;
+
+    // 1. The valley: scan twists, watch the normalized variance dip.
+    let twists = [0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0];
+    let (points, best) = estimator.valley(&twists, 2_000, 42, 4)?;
     println!("twist m*   P estimate     normalized variance   hits");
     for p in &points {
         println!(
@@ -51,16 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nvalley minimum at m* = {m_star}");
 
     // 2. Final estimate at the chosen twist.
-    let est = IsEstimator::new(
-        &background,
-        horizon,
-        transform,
-        mux.service_rate(),
-        buffer,
-        m_star,
-        IsEvent::FirstPassage,
-    )?
-    .run_parallel(5_000, 4242, 4);
+    let est = estimator.with_twist(m_star).run_parallel(5_000, 4242, 4);
     let (lo, hi) = est.ci95();
     println!(
         "P(overflow within {horizon} slots) = {:.3e}  (95% CI [{:.2e}, {:.2e}])",
